@@ -8,6 +8,19 @@ branches that can only repeat an explored leaf.  Two hypergraphs are
 isomorphic exactly when their canonical forms are equal, and a canonical
 form is itself a valid MMP line.
 
+Refinement works on an ordered partition in which each cell is labelled by
+its start position, after McKay, "Practical graph isomorphism" (1981), and
+McKay & Piperno, "Practical graph isomorphism, II" (2014).  Rounds are
+simultaneous: each splits the cells next to a node relabelled in the round
+before, by the sorted labels of each member's neighbours, and orders the
+sub-cells by those keys.  Start labels order cells as their ranks would, and
+a split relabels only the nodes that moved, so each round costs what its
+splits touch while the partition, cell order included, is that of a full
+recolouring of every node each round.  Individualizing a node puts it first
+in its cell and refines from its moved cell-mates only.  A branch is pruned
+when its node shares an orbit, under the automorphisms found so far that fix
+the branch's prefix, with an explored sibling.
+
 The canonical representative choice is an internal convention; only the
 partition into isomorphism classes is comparable across tools.
 """
@@ -15,7 +28,7 @@ partition into isomorphism classes is comparable across tools.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .mmp import Hypergraph, parse_mmp, serialize_mmp, vertex_to_chars
 
@@ -53,24 +66,64 @@ class IsoMapping:
         return sorted(set(self.edge_map.values())) == list(range(h2.num_edges))
 
 
-def _refine(adj: list[list[int]], colors: list) -> tuple[list[int], int]:
-    """Stable color refinement; cell order is invariant (cells sorted by
-    their defining keys)."""
-    n = len(adj)
-    order = sorted(set(colors))
-    cmap = {c: i for i, c in enumerate(order)}
-    col = [cmap[c] for c in colors]
-    ncol = len(order)
-    while True:
-        keys = [
-            (col[i], tuple(sorted(col[j] for j in adj[i]))) for i in range(n)
-        ]
-        order = sorted(set(keys))
-        if len(order) == ncol:
-            return col, ncol
-        cmap = {k: i for i, k in enumerate(order)}
-        col = [cmap[k] for k in keys]
-        ncol = len(order)
+def _partition(colors: Sequence) -> tuple[list[int], dict[int, list[int]]]:
+    """The ordered partition of nodes by sorted color, as start labels and a
+    start -> members map."""
+    by_color: dict = {}
+    for i, c in enumerate(colors):
+        by_color.setdefault(c, []).append(i)
+    col = [0] * len(colors)
+    cells: dict[int, list[int]] = {}
+    pos = 0
+    for c in sorted(by_color):
+        cells[pos] = by_color[c]
+        for i in by_color[c]:
+            col[i] = pos
+        pos += len(by_color[c])
+    return col, cells
+
+
+def _refine(
+    adj: list[list[int]],
+    col: list[int],
+    cells: dict[int, list[int]],
+    changed: Sequence[int],
+) -> None:
+    """Refine the ordered partition ``(col, cells)`` in place to the
+    coarsest equitable partition below it.
+
+    Each node's label is the start position of its cell, and ``cells`` maps
+    each start to its members in node order.  Rounds are simultaneous: every
+    cell next to a node relabelled in the previous round (``changed`` seeds
+    the first) is split by its members' sorted neighbour labels, sub-cells
+    in key order, all keys read before any label moves.  The first sub-cell
+    keeps its start, so only members of later sub-cells are relabelled.  A
+    cell with no relabelled neighbour cannot split, so skipping it leaves
+    each round, and the cell order, as a full recolouring would.  Start
+    labels are ordered as cell ranks are, so the keys sort the same way.
+    """
+    while changed:
+        splits = []
+        for start in {col[j] for i in changed for j in adj[i]}:
+            members = cells[start]
+            if len(members) == 1:
+                continue
+            groups: dict[tuple[int, ...], list[int]] = {}
+            for x in members:
+                key = tuple(sorted([col[j] for j in adj[x]]))
+                groups.setdefault(key, []).append(x)
+            if len(groups) > 1:
+                splits.append((start, [groups[k] for k in sorted(groups)]))
+        changed = []
+        for start, subs in splits:
+            pos = start
+            for sub in subs:
+                cells[pos] = sub
+                if pos != start:
+                    for x in sub:
+                        col[x] = pos
+                    changed.extend(sub)
+                pos += len(sub)
 
 
 class _CanonSearch:
@@ -93,36 +146,36 @@ class _CanonSearch:
         self.best_vpos: list[int] | None = None
         self.leaves: dict[str, list[int]] = {}  # cert -> full node positions
         self.autos: list[tuple[int, ...]] = []  # full node permutations
+        self.auto_set: set[tuple[int, ...]] = set()
 
     def run(self) -> tuple[str, list[int]]:
         init = [(0, len(self.adj[v])) for v in range(self.nv)] + [
             (1, len(e)) for e in self.h.edges
         ]
-        col, ncol = _refine(self.adj, init)
-        self._search(col, ncol, [])
+        col, cells = _partition(init)
+        _refine(self.adj, col, cells, range(self.n))
+        self._search(col, cells, [], [])
         assert self.best is not None and self.best_vpos is not None
         return self.best, self.best_vpos
 
-    def _leaf(self, col: list[int], fixed: list[int]) -> None:
-        nv = self.nv
-        vorder = sorted(range(nv), key=lambda v: col[v])
-        vpos = [0] * nv
-        for p, v in enumerate(vorder):
-            vpos[v] = p
+    def _leaf(self, col: list[int]) -> None:
+        # discrete: a node's label is its position, and vertex nodes come
+        # first, so a vertex's label is its canonical id
+        vpos = col[: self.nv]
         relabeled = sorted(
-            tuple(sorted(vpos[v] for v in e)) for e in self.h.edges
+            tuple(sorted([vpos[v] for v in e])) for e in self.h.edges
         )
         cert = (
             ",".join("".join(vertex_to_chars(v) for v in e) for e in relabeled)
             + "."
         )
-        npos = list(col)  # discrete: color == position
         prev = self.leaves.get(cert)
         if prev is None:
-            self.leaves[cert] = npos
+            self.leaves[cert] = col
         else:
-            perm = self._automorphism(prev, npos)
-            if perm is not None:
+            perm = self._automorphism(prev, col)
+            if perm is not None and perm not in self.auto_set:
+                self.auto_set.add(perm)
                 self.autos.append(perm)
         if self.best is None or cert < self.best:
             self.best = cert
@@ -154,32 +207,85 @@ class _CanonSearch:
                 return None
         return tuple(perm)
 
-    def _search(self, col: list[int], ncol: int, fixed: list[int]) -> None:
-        n = self.n
-        if ncol == n:
-            self._leaf(col, fixed)
+    def _search(
+        self,
+        col: list[int],
+        cells: dict[int, list[int]],
+        fixed: list[int],
+        gens: list[tuple[int, ...]],
+    ) -> None:
+        """Explore the subtree below the prefix ``fixed``; ``gens``, a list
+        this call extends, holds the stored automorphisms that fix it
+        pointwise."""
+        if len(cells) == self.n:
+            self._leaf(col)
             return
-        cells: dict[int, list[int]] = {}
-        for i in range(n):
-            cells.setdefault(col[i], []).append(i)
-        target = min(c for c, mem in cells.items() if len(mem) > 1)
+        target = min(s for s, mem in cells.items() if len(mem) > 1)
         members = cells[target]
+        # a node whose orbit holds an explored sibling roots a subtree that
+        # only repeats explored leaves
+        orbit = {x: [x] for x in members}
+        merged = 0
+        checked = len(self.autos)
         explored: list[int] = []
         for node in members:
-            if self._orbit_pruned(node, explored, fixed):
+            gens += [
+                auto
+                for auto in self.autos[checked:]
+                if all(auto[f] == f for f in fixed)
+            ]
+            checked = len(self.autos)
+            _merge_orbits(orbit, members, gens[merged:])
+            merged = len(gens)
+            if any(orbit[e] is orbit[node] for e in explored):
                 continue
             explored.append(node)
-            marked = [(col[i], 0 if i == node else 1) for i in range(n)]
-            col2, ncol2 = _refine(self.adj, marked)
-            self._search(col2, ncol2, fixed + [node])
+            col2, cells2 = _individualize(self.adj, col, cells, node)
+            self._search(
+                col2,
+                cells2,
+                fixed + [node],
+                [auto for auto in gens if auto[node] == node],
+            )
 
-    def _orbit_pruned(
-        self, node: int, explored: list[int], fixed: list[int]
-    ) -> bool:
-        for auto in self.autos:
-            if auto[node] in explored and all(auto[f] == f for f in fixed):
-                return True
-        return False
+
+def _individualize(
+    adj: list[list[int]],
+    col: list[int],
+    cells: dict[int, list[int]],
+    node: int,
+) -> tuple[list[int], dict[int, list[int]]]:
+    """A refined copy of an equitable partition with ``node`` put first in
+    its cell; only its moved cell-mates seed the refinement."""
+    start = col[node]
+    rest = [x for x in cells[start] if x != node]
+    col2 = list(col)
+    for x in rest:
+        col2[x] = start + 1
+    cells2 = dict(cells)
+    cells2[start] = [node]
+    cells2[start + 1] = rest
+    _refine(adj, col2, cells2, rest)
+    return col2, cells2
+
+
+def _merge_orbits(
+    orbit: dict[int, list[int]],
+    members: list[int],
+    autos: list[tuple[int, ...]],
+) -> None:
+    """Join the orbits of a cell under further automorphisms; ``orbit`` maps
+    each member to the list it shares with its orbit-mates.  Every
+    automorphism fixing the prefix maps the cell onto itself."""
+    for auto in autos:
+        for x in members:
+            a, b = orbit[x], orbit[auto[x]]
+            if a is not b:
+                if len(a) < len(b):
+                    a, b = b, a
+                a.extend(b)
+                for y in b:
+                    orbit[y] = a
 
 
 def canonical_labeling(h: Hypergraph) -> tuple[CanonicalForm, list[int]]:

@@ -5,6 +5,7 @@ driver.  All hypergraph files are newline-delimited MMP lines."""
 from __future__ import annotations
 
 import sys
+from math import comb
 from pathlib import Path
 
 import click
@@ -18,12 +19,15 @@ from .loops import biggest_loop, format_annotated, loop_arrangements
 from .mmp import (
     LENIENT,
     Hypergraph,
+    MmpError,
     parse_mmp,
     serialize_mmp,
+    validate_mmp,
     vertex_to_chars,
 )
 from .stats import (
     DEFAULT_DIGITS,
+    MIN_DIGITS,
     SurveyRecord,
     confidence_bounds,
     coupon_mle,
@@ -34,10 +38,20 @@ from .survey import ConfigError, parse_config, run_survey
 
 
 def _read(path: str) -> list[Hypergraph]:
+    """Parse leniently (the published 60-40 line needs it), then reject any
+    line that is not a valid MMP hypergraph, naming file and line."""
     out = []
-    for line in Path(path).read_text().splitlines():
-        if line.strip():
-            out.append(parse_mmp(line, LENIENT))
+    for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            h = parse_mmp(line, LENIENT)
+        except MmpError as exc:
+            raise click.ClickException(f"{path}:{ln}: {exc}")
+        violations = validate_mmp(h)
+        if violations:
+            raise click.ClickException(f"{path}:{ln}: {violations[0].message}")
+        out.append(h)
     return out
 
 
@@ -58,9 +72,11 @@ def main() -> None:
 
 @main.command()
 @click.option("--in", "infile", required=True, type=click.Path(exists=True))
-@click.option("--k", required=True, type=int, help="Edges to remove.")
+@click.option("--k", required=True, type=click.IntRange(min=0),
+              help="Edges to remove.")
 @click.option("--window", default=None, help="Colex rank window A:B.")
-@click.option("--increment", default=1.0, type=float, show_default=True)
+@click.option("--increment", default=1.0, type=click.FloatRange(min=1.0),
+              show_default=True)
 @click.option("--random", "randomized", is_flag=True,
               help="Bernoulli thinning instead of uniform spacing.")
 @click.option("--seed", default=0, type=int, show_default=True)
@@ -77,7 +93,26 @@ def strip(infile, k, window, increment, randomized, seed, connected_only,
             a, b = window.split(":")
             start, end = int(a), int(b)
         except ValueError:
-            raise click.BadParameter("window must be A:B with integer ranks")
+            raise click.BadParameter(
+                "window must be A:B with integer ranks",
+                param_hint="'--window'",
+            )
+        if not 0 <= start <= end:
+            raise click.BadParameter(
+                f"need 0 <= A <= B, got {window}", param_hint="'--window'"
+            )
+    hs = _read(infile)
+    for h in hs:
+        if k > h.num_edges:
+            raise click.BadParameter(
+                f"cannot remove {k} of the {h.num_edges} edges of a "
+                f"{h.signature} input", param_hint="'--k'"
+            )
+        if start is not None and start > comb(h.num_edges, k):
+            raise click.BadParameter(
+                f"start {start} is past the {comb(h.num_edges, k)} subsets "
+                f"of a {h.signature} input", param_hint="'--window'"
+            )
     plan = StripPlan(
         k=k,
         start=start,
@@ -90,7 +125,7 @@ def strip(infile, k, window, increment, randomized, seed, connected_only,
     )
     count = 0
     with open(outfile, "w") as f:
-        for h in _read(infile):
+        for h in hs:
             for child in enumerate_subsets(h, plan):
                 f.write(serialize_mmp(child) + "\n")
                 count += 1
@@ -218,11 +253,18 @@ def stats():
 
 
 @stats.command()
-@click.option("--n", "n", required=True, type=int, help="Sample count.")
-@click.option("--c", "c", required=True, type=int, help="Distinct classes seen.")
-@click.option("--digits", default=DEFAULT_DIGITS, type=int, show_default=True)
+@click.option("--n", "n", required=True, type=click.IntRange(min=1),
+              help="Sample count.")
+@click.option("--c", "c", required=True, type=click.IntRange(min=1),
+              help="Distinct classes seen.")
+@click.option("--digits", default=DEFAULT_DIGITS,
+              type=click.IntRange(min=MIN_DIGITS), show_default=True)
 def coupon(n, c, digits):
     """Coupon-collector MLE of the total class count."""
+    if c > n:
+        raise click.BadParameter(
+            f"{c} distinct classes exceed {n} samples", param_hint="'--c'"
+        )
     click.echo(str(coupon_mle(n, c, digits)))
 
 
@@ -231,7 +273,8 @@ def coupon(n, c, digits):
 @click.option("--n", "n", required=True, type=int, help="Sample count.")
 @click.option("--m", "m", required=True, type=int, help="Observed successes.")
 @click.option("--level", default=0.95, type=float, show_default=True)
-@click.option("--digits", default=DEFAULT_DIGITS, type=int, show_default=True)
+@click.option("--digits", default=DEFAULT_DIGITS,
+              type=click.IntRange(min=MIN_DIGITS), show_default=True)
 def bounds(k, n, m, level, digits):
     """Confidence bounds on successes in the whole population."""
     ci = confidence_bounds(k, n, m, level, digits)

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .canon import canonical_form
+from .canon import canonical_form, dedupe_isomorphic
 from .cell600 import build_600cell
 from .coloring import has_parity_proof, is_critical, is_ks
 from .loops import biggest_loop
@@ -219,13 +220,7 @@ def run_stage(
     # strip_one_each thins per the plan and removes exact duplicates
     stripped = list(strip_one_each(inputs, plan))
     kept = [h for h in stripped if is_connected(h)]
-    seen_certs: set[str] = set()
-    reps: list[Hypergraph] = []
-    for h in kept:
-        cert = canonical_form(h).text
-        if cert not in seen_certs:
-            seen_certs.add(cert)
-            reps.append(h)
+    reps = list(dedupe_isomorphic(kept))
     lines = [serialize_mmp(h) for h in reps]
     ks_flags = dict(_pmap(_is_ks_line, lines, cfg.workers))
     ks_sets = [h for h, line in zip(reps, lines) if ks_flags[line]]
@@ -289,14 +284,25 @@ def run_survey(cfg: SurveyConfig) -> Iterator[StageResult]:
         result, survivors, criticals = run_stage(survivors, cfg, edges)
         for h in criticals:
             _flag_if_novel(h)
-        mmp_path.write_text(
-            "".join(serialize_mmp(h) + "\n" for h in survivors)
+        _replace_text(
+            mmp_path, "".join(serialize_mmp(h) + "\n" for h in survivors)
         )
-        crit_path.write_text(
-            "".join(serialize_mmp(h) + "\n" for h in criticals)
+        _replace_text(
+            crit_path, "".join(serialize_mmp(h) + "\n" for h in criticals)
         )
-        json_path.write_text(result.to_json() + "\n")
+        _replace_text(json_path, result.to_json() + "\n")
         yield result
+
+
+def _replace_text(path: Path, text: str) -> None:
+    """Write through a temp file in the same directory, then rename it over
+    ``path``: a crash leaves the old file or none, never a truncated one."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _flag_if_novel(h: Hypergraph) -> None:

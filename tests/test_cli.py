@@ -109,6 +109,73 @@ def test_stats_commands(tmp_path):
     assert "2775" in table.read_text()
 
 
+def usage_error(*args):
+    """Invoke expecting a usage error; returns its one-line message."""
+    res = CliRunner().invoke(main, list(args))
+    assert res.exit_code == 2
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    return res.output.strip().splitlines()[-1]
+
+
+def test_strip_k_above_edge_count(tmp_path):
+    src = tmp_path / "in.mmp"
+    src.write_text("123,345,561.\n")
+    msg = usage_error(
+        "strip", "--in", str(src), "--k", "9", "--out", str(tmp_path / "o")
+    )
+    assert "'--k'" in msg and "cannot remove 9 of the 3 edges" in msg
+
+
+def test_strip_reversed_window(tmp_path):
+    src = tmp_path / "in.mmp"
+    src.write_text("123,345,561.\n")
+    msg = usage_error(
+        "strip", "--in", str(src), "--k", "1", "--window", "3:1",
+        "--out", str(tmp_path / "o"),
+    )
+    assert "'--window'" in msg
+    # a start past the last of the C(3, 1) subsets
+    msg = usage_error(
+        "strip", "--in", str(src), "--k", "1", "--window", "5:9",
+        "--out", str(tmp_path / "o"),
+    )
+    assert "'--window'" in msg and "past the 3 subsets" in msg
+
+
+def test_coupon_more_classes_than_samples():
+    msg = usage_error("stats", "coupon", "--n", "3", "--c", "5")
+    assert "'--c'" in msg
+
+
+def test_coupon_digits_below_floor():
+    msg = usage_error(
+        "stats", "coupon", "--n", "3", "--c", "2", "--digits", "10"
+    )
+    assert "'--digits'" in msg
+
+
+def test_invalid_mmp_input_is_rejected(tmp_path):
+    src = tmp_path / "in.mmp"
+    src.write_text("123,345,561.\n\n12,23.\n")
+    res = CliRunner().invoke(
+        main,
+        ["color", "--in", str(src), "--out-colorable", str(tmp_path / "c"),
+         "--out-ks", str(tmp_path / "k")],
+    )
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert f"{src}:3: edge 0 has 2 vertices" in res.output
+    assert "colorable" not in res.output
+
+
+def test_published_lenient_line_still_loads(tmp_path):
+    src = tmp_path / "in.mmp"
+    src.write_text(CORPUS_LINES["60-40"] + "\n")
+    out = tmp_path / "crit.mmp"
+    res = invoke("critical", "--in", str(src), "--out", str(out))
+    assert "1 of 1 inputs are critical" in res.output
+
+
 def test_survey_exit_codes(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("bogus = 1\n")

@@ -161,3 +161,38 @@ def test_novel_signature_flagging(caplog):
         findings = list(find_criticals([tiny]))
     assert len(findings) == 1
     assert any("new kind" in rec.message for rec in caplog.records)
+
+
+def test_torn_stage_write_resumes_cleanly(tmp_path, monkeypatch):
+    def config(d):
+        return SurveyConfig(start=load("38-19"), min_edges=17, output_dir=d)
+
+    real_write = Path.write_text
+
+    def torn_write(self, text, *args, **kwargs):
+        # the stage record's write dies half-way, as on a crash or full disk
+        if self.name.startswith("edges-") and ".json" in self.name:
+            real_write(self, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("simulated crash mid-write")
+        return real_write(self, text, *args, **kwargs)
+
+    out = tmp_path / "torn"
+    monkeypatch.setattr(Path, "write_text", torn_write)
+    with pytest.raises(OSError):
+        list(run_survey(config(out)))
+    monkeypatch.undo()
+    assert sorted(p.name for p in out.glob("*.json*")) == []
+
+    resumed = list(run_survey(config(out)))
+    clean = list(run_survey(config(tmp_path / "clean")))
+
+    def record(r):
+        return {**r.__dict__, "seconds": None}
+
+    assert [record(r) for r in resumed] == [record(r) for r in clean]
+    got = {p.name: p.read_text() for p in out.iterdir()}
+    want = {p.name: p.read_text() for p in (tmp_path / "clean").iterdir()}
+    assert got.keys() == want.keys()  # no temp files left behind
+    assert {k: v for k, v in got.items() if k.endswith(".mmp")} == {
+        k: v for k, v in want.items() if k.endswith(".mmp")
+    }
