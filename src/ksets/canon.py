@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .mmp import Hypergraph, parse_mmp, serialize_mmp, vertex_to_chars
+from .mmp import Hypergraph, parse_mmp, vertex_to_chars
 
 
 @dataclass(frozen=True)
@@ -188,7 +188,9 @@ class _CanonSearch:
 
         The vertex part follows from equal certificates; the edge part is
         rebuilt by matching image vertex sets so the permutation is a true
-        automorphism of the incidence structure.
+        automorphism of the incidence structure.  Among repeated edges the
+        one at the same leaf position is preferred, so stored automorphisms
+        can swap identical edges and prune their k! orderings.
         """
         n, nv = self.n, self.nv
         inv_a = [0] * n
@@ -198,13 +200,15 @@ class _CanonSearch:
         used: set[int] = set()
         for ei, s in enumerate(self.h.edge_sets):
             image = frozenset(perm[v] for v in s)
-            for cand in self.edge_set_index.get(image, ()):
-                if cand not in used:
-                    used.add(cand)
-                    perm[nv + ei] = nv + cand
-                    break
-            else:
+            cands = [
+                c for c in self.edge_set_index.get(image, ()) if c not in used
+            ]
+            if not cands:
                 return None
+            same = perm[nv + ei] - nv
+            pick = same if same in cands else cands[0]
+            used.add(pick)
+            perm[nv + ei] = nv + pick
         return tuple(perm)
 
     def _search(

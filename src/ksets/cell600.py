@@ -107,7 +107,7 @@ def build_600cell() -> RaySet600:
             f"per-ray basis membership not uniformly 5: {sorted(set(membership))}"
         )
 
-    h = Hypergraph(n, tuple(bases), label="60-75")
+    h = Hypergraph(n, tuple(bases))
     return RaySet600(tuple(rays), tuple(bases), h)
 
 

@@ -20,10 +20,10 @@ from .mmp import (
     LENIENT,
     Hypergraph,
     MmpError,
-    parse_mmp,
+    read_mmp_file,
     serialize_mmp,
-    validate_mmp,
     vertex_to_chars,
+    write_mmp_file,
 )
 from .stats import (
     DEFAULT_DIGITS,
@@ -38,30 +38,12 @@ from .survey import ConfigError, parse_config, run_survey
 
 
 def _read(path: str) -> list[Hypergraph]:
-    """Parse leniently (the published 60-40 line needs it), then reject any
-    line that is not a valid MMP hypergraph, naming file and line."""
-    out = []
-    for ln, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            h = parse_mmp(line, LENIENT)
-        except MmpError as exc:
-            raise click.ClickException(f"{path}:{ln}: {exc}")
-        violations = validate_mmp(h)
-        if violations:
-            raise click.ClickException(f"{path}:{ln}: {violations[0].message}")
-        out.append(h)
-    return out
-
-
-def _write(path: str, hs) -> int:
-    count = 0
-    with open(path, "w") as f:
-        for h in hs:
-            f.write(serialize_mmp(h) + "\n")
-            count += 1
-    return count
+    """Parse leniently (the published 60-40 line needs it); an invalid line
+    is a clean error naming file and line."""
+    try:
+        return read_mmp_file(path, LENIENT)
+    except MmpError as exc:
+        raise click.ClickException(str(exc))
 
 
 @click.group()
@@ -123,12 +105,9 @@ def strip(infile, k, window, increment, randomized, seed, connected_only,
         renormalize_output=renorm,
         seed=SamplerSeed(seed),
     )
-    count = 0
-    with open(outfile, "w") as f:
-        for h in hs:
-            for child in enumerate_subsets(h, plan):
-                f.write(serialize_mmp(child) + "\n")
-                count += 1
+    count = write_mmp_file(
+        outfile, (child for h in hs for child in enumerate_subsets(h, plan))
+    )
     click.echo(f"{count} subsets written to {outfile}")
 
 
@@ -148,18 +127,9 @@ def canon(infile, outfile, mapping):
                 for v in range(h.num_vertices)
             )
             click.echo(f"# {i}: {perm}")
-    reps = [c.to_hypergraph() for c in _canon_forms(hs)]
-    count = _write(outfile, reps)
+    forms = dict.fromkeys(canonical_form(h) for h in hs)
+    count = write_mmp_file(outfile, (c.to_hypergraph() for c in forms))
     click.echo(f"{len(hs)} inputs, {count} isomorphism classes")
-
-
-def _canon_forms(hs):
-    seen = set()
-    for h in hs:
-        c = canonical_form(h)
-        if c.text not in seen:
-            seen.add(c.text)
-            yield c
 
 
 @main.command()
@@ -195,7 +165,7 @@ def color(infile, out_colorable, out_ks, witness):
 def critical(infile, outfile):
     """Keep only the critical KS sets."""
     hs = _read(infile)
-    count = _write(outfile, (h for h in hs if is_critical(h)))
+    count = write_mmp_file(outfile, (h for h in hs if is_critical(h)))
     click.echo(f"{count} of {len(hs)} inputs are critical")
 
 
@@ -240,7 +210,7 @@ def loops(infile, all_max, draw_dir, backend, tension, curl):
 def cell600(out_mmp, out_vectors):
     """Construct the 600-cell's 60-75 hypergraph (and its ray vectors)."""
     rs = build_600cell()
-    Path(out_mmp).write_text(serialize_mmp(rs.hypergraph) + "\n")
+    write_mmp_file(out_mmp, [rs.hypergraph])
     click.echo(f"60-75 written to {out_mmp}")
     if out_vectors:
         Path(out_vectors).write_text(format_vectors(rs.rays))

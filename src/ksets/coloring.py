@@ -133,12 +133,16 @@ def is_ks(h: Hypergraph) -> bool:
 def is_critical(h: Hypergraph) -> bool:
     """True iff h is a KS set and every single-edge removal is colorable."""
     masks = _edge_masks(h)
-    if _solve(masks, h.num_vertices) is not None:
-        return False
-    for i in range(len(masks)):
-        if _solve(masks[:i] + masks[i + 1 :], h.num_vertices) is None:
-            return False
-    return True
+    return _solve(masks, h.num_vertices) is None and _removals_colorable(
+        masks, h.num_vertices
+    )
+
+
+def _removals_colorable(masks: list[int], num_vertices: int) -> bool:
+    return all(
+        _solve(masks[:i] + masks[i + 1 :], num_vertices) is not None
+        for i in range(len(masks))
+    )
 
 
 def has_parity_proof(h: Hypergraph) -> bool:
@@ -157,5 +161,7 @@ def has_parity_proof(h: Hypergraph) -> bool:
 
 def verdict(h: Hypergraph) -> KsVerdict:
     colorable, witness = is_colorable(h)
-    critical = None if colorable else is_critical(h)
+    critical = (
+        None if colorable else _removals_colorable(_edge_masks(h), h.num_vertices)
+    )
     return KsVerdict(colorable, witness, critical, has_parity_proof(h))

@@ -203,8 +203,7 @@ LOOP_SIZES: dict[str, int] = {
 
 def load(name: str) -> Hypergraph:
     """Parse one corpus entry; raises KeyError for unknown signatures."""
-    h = parse_mmp(CORPUS_LINES[name], LENIENT)
-    return Hypergraph(h.num_vertices, h.edges, label=name)
+    return parse_mmp(CORPUS_LINES[name], LENIENT)
 
 
 def load_all() -> dict[str, Hypergraph]:

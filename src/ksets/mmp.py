@@ -16,6 +16,7 @@ A well-formed MMP hypergraph satisfies
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -82,7 +83,6 @@ class Hypergraph:
 
     num_vertices: int
     edges: tuple[tuple[int, ...], ...]
-    label: str | None = None
     edge_sets: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -110,9 +110,7 @@ class Hypergraph:
         """Remove one edge; vertex set unchanged (use renormalize to drop
         orphans)."""
         return Hypergraph(
-            self.num_vertices,
-            self.edges[:index] + self.edges[index + 1 :],
-            self.label,
+            self.num_vertices, self.edges[:index] + self.edges[index + 1 :]
         )
 
 
@@ -184,7 +182,7 @@ def renormalize(h: Hypergraph) -> Hypergraph:
     edges = []
     for e in h.edges:
         edges.append(tuple(remap.setdefault(v, len(remap)) for v in e))
-    return Hypergraph(len(remap), tuple(edges), h.label)
+    return Hypergraph(len(remap), tuple(edges))
 
 
 def is_connected(h: Hypergraph) -> bool:
@@ -283,25 +281,45 @@ def validate_mmp(h: Hypergraph) -> list[Violation]:
 
 
 def read_mmp_file(
-    lines: Iterable[str], opts: ParseOptions = STRICT
-) -> Iterator[Hypergraph]:
-    """Parse a newline-delimited sequence of MMP lines, skipping blanks."""
-    for line in lines:
-        if line.strip():
-            yield parse_mmp(line, opts)
+    path: str | os.PathLike, opts: ParseOptions = STRICT
+) -> list[Hypergraph]:
+    """Parse and validate every non-blank line of an MMP file.
+
+    The first line that does not parse, or parses to a hypergraph breaking
+    an MMP condition, raises ``MmpError("<file>:<line>: <problem>")``.
+    """
+    with open(path) as f:
+        lines = f.read().splitlines()
+    out = []
+    for ln, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            h = parse_mmp(line, opts)
+        except MmpError as exc:
+            raise MmpError(f"{path}:{ln}: {exc}") from None
+        violations = validate_mmp(h)
+        if violations:
+            raise MmpError(f"{path}:{ln}: {violations[0].message}")
+        out.append(h)
+    return out
 
 
-def write_mmp_file(hs: Iterable[Hypergraph]) -> str:
-    return "".join(serialize_mmp(h) + "\n" for h in hs)
+def write_mmp_file(path: str | os.PathLike, hs: Iterable[Hypergraph]) -> int:
+    """Stream one MMP line per hypergraph to ``path``; returns the count."""
+    count = 0
+    with open(path, "w") as f:
+        for h in hs:
+            f.write(serialize_mmp(h) + "\n")
+            count += 1
+    return count
 
 
 def hypergraph_from_edges(
-    edges: Sequence[Sequence[int]],
-    num_vertices: int | None = None,
-    label: str | None = None,
+    edges: Sequence[Sequence[int]], num_vertices: int | None = None
 ) -> Hypergraph:
     """Build a Hypergraph from integer edge lists."""
     tedges = tuple(tuple(e) for e in edges)
     if num_vertices is None:
         num_vertices = max((v for e in tedges for v in e), default=-1) + 1
-    return Hypergraph(num_vertices, tedges, label)
+    return Hypergraph(num_vertices, tedges)

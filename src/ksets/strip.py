@@ -46,6 +46,9 @@ def rng_for(seed: SamplerSeed, stream: int = 0) -> random.Random:
     return random.Random(int.from_bytes(digest[:16], "big"))
 
 
+SELECTION_MODES = ("uniform", "randomized")
+
+
 @dataclass(frozen=True)
 class StripPlan:
     """Parameters for one stripping pass.
@@ -70,7 +73,7 @@ class StripPlan:
             raise ValueError("k must be non-negative")
         if self.increment < 1:
             raise ValueError("increment must be >= 1")
-        if self.selection_mode not in ("uniform", "randomized"):
+        if self.selection_mode not in SELECTION_MODES:
             raise ValueError(f"unknown selection mode {self.selection_mode!r}")
         if (
             self.start is not None
@@ -148,10 +151,12 @@ def _thin(
                 yield item
 
 
-def _emit(h: Hypergraph, plan: StripPlan) -> Hypergraph | None:
-    if plan.connectivity_filter and not is_connected(h):
-        return None
-    return renormalize(h) if plan.renormalize_output else h
+def _without(h: Hypergraph, removed: Iterable[int]) -> Hypergraph:
+    """The child of ``h`` with the edges at the ``removed`` indices gone."""
+    drop = set(removed)
+    return Hypergraph(
+        h.num_vertices, tuple(e for i, e in enumerate(h.edges) if i not in drop)
+    )
 
 
 def enumerate_subsets(h: Hypergraph, plan: StripPlan) -> Iterator[Hypergraph]:
@@ -165,15 +170,10 @@ def enumerate_subsets(h: Hypergraph, plan: StripPlan) -> Iterator[Hypergraph]:
         n, plan.k, plan.start or 0, plan.end
     )
     for removed in _thin(combos, plan.increment, plan.selection_mode, rng):
-        drop = set(removed)
-        child = Hypergraph(
-            h.num_vertices,
-            tuple(e for i, e in enumerate(h.edges) if i not in drop),
-            h.label,
-        )
-        out = _emit(child, plan)
-        if out is not None:
-            yield out
+        child = _without(h, removed)
+        if plan.connectivity_filter and not is_connected(child):
+            continue
+        yield renormalize(child) if plan.renormalize_output else child
 
 
 def strip_one_each(
@@ -194,13 +194,14 @@ def strip_one_each(
         )
         for i in indices:
             child = h.without_edge(i)
-            key = serialize_mmp(renormalize(child))
+            norm = renormalize(child)
+            key = serialize_mmp(norm)
             if key in seen:
                 continue
             seen.add(key)
-            out = _emit(child, plan)
-            if out is not None:
-                yield out
+            if plan.connectivity_filter and not is_connected(norm):
+                continue
+            yield norm if plan.renormalize_output else child
 
 
 def sample_subsets(
@@ -213,11 +214,4 @@ def sample_subsets(
         raise ValueError(f"cannot remove {k} of {n} edges")
     rng = rng_for(seed, stream=2)
     for _ in range(count):
-        drop = set(rng.sample(range(n), k))
-        yield renormalize(
-            Hypergraph(
-                h.num_vertices,
-                tuple(e for i, e in enumerate(h.edges) if i not in drop),
-                h.label,
-            )
-        )
+        yield renormalize(_without(h, rng.sample(range(n), k)))

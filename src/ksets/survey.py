@@ -17,9 +17,9 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .canon import canonical_form, dedupe_isomorphic
+from .canon import dedupe_isomorphic
 from .cell600 import build_600cell
 from .coloring import has_parity_proof, is_critical, is_ks
 from .loops import biggest_loop
@@ -27,10 +27,11 @@ from .mmp import (
     Hypergraph,
     LENIENT,
     is_connected,
-    parse_mmp,
+    read_mmp_file,
     serialize_mmp,
+    write_mmp_file,
 )
-from .strip import SamplerSeed, StripPlan, strip_one_each
+from .strip import SELECTION_MODES, SamplerSeed, StripPlan, strip_one_each
 
 log = logging.getLogger(__name__)
 
@@ -70,6 +71,11 @@ class SurveyConfig:
             raise ConfigError("workers must be at least 1")
         if self.increment is not None and self.increment < 1:
             raise ConfigError("increment must be >= 1")
+        if self.selection_mode not in SELECTION_MODES:
+            raise ConfigError(
+                f"mode must be one of {', '.join(SELECTION_MODES)}, "
+                f"got {self.selection_mode!r}"
+            )
 
     def start_hypergraph(self) -> Hypergraph:
         return self.start if self.start is not None else build_600cell().hypergraph
@@ -100,8 +106,7 @@ def parse_config(text: str, base_dir: Path | None = None) -> SurveyConfig:
     try:
         if values.get("start", "600-cell") != "600-cell":
             path = base / values["start"]
-            lines = path.read_text().splitlines()
-            hs = [parse_mmp(line, LENIENT) for line in lines if line.strip()]
+            hs = read_mmp_file(path, LENIENT)
             if len(hs) != 1:
                 raise ConfigError(f"{path}: expected exactly one MMP line")
             kwargs["start"] = hs[0]
@@ -183,22 +188,16 @@ def calibrate_increment(sample: Sequence[Hypergraph], target: int) -> float:
     return max(1.0, survivors / target)
 
 
-def _is_ks_line(line: str) -> tuple[str, bool]:
-    h = parse_mmp(line)
-    return line, is_ks(h)
-
-
-def _critical_line(line: str) -> tuple[str, bool]:
-    h = parse_mmp(line)
-    return line, is_critical(h)
-
-
-def _pmap(fn, lines: list[str], workers: int) -> list[tuple[str, bool]]:
-    if workers <= 1 or len(lines) < 64:
-        return [fn(line) for line in lines]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(lines) // (workers * 8))
-        return list(pool.map(fn, lines, chunksize=chunk))
+def _keep(fn, hs: list[Hypergraph], workers: int) -> list[Hypergraph]:
+    """The inputs ``fn`` holds true for, in order; ``fn`` runs in a process
+    pool when there are workers and enough inputs to pay for one."""
+    if workers <= 1 or len(hs) < 64:
+        flags = [fn(h) for h in hs]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, len(hs) // (workers * 8))
+            flags = list(pool.map(fn, hs, chunksize=chunk))
+    return [h for h, ok in zip(hs, flags) if ok]
 
 
 def run_stage(
@@ -221,12 +220,8 @@ def run_stage(
     stripped = list(strip_one_each(inputs, plan))
     kept = [h for h in stripped if is_connected(h)]
     reps = list(dedupe_isomorphic(kept))
-    lines = [serialize_mmp(h) for h in reps]
-    ks_flags = dict(_pmap(_is_ks_line, lines, cfg.workers))
-    ks_sets = [h for h, line in zip(reps, lines) if ks_flags[line]]
-    ks_lines = [serialize_mmp(h) for h in ks_sets]
-    crit_flags = dict(_pmap(_critical_line, ks_lines, cfg.workers))
-    criticals = [h for h, line in zip(ks_sets, ks_lines) if crit_flags[line]]
+    ks_sets = _keep(is_ks, reps, cfg.workers)
+    criticals = _keep(is_critical, ks_sets, cfg.workers)
     odd = sum(1 for h in criticals if h.num_edges % 2 == 1)
     result = StageResult(
         edges=edges,
@@ -251,14 +246,6 @@ def _stage_paths(out: Path, edges: int) -> tuple[Path, Path, Path]:
     )
 
 
-def _load_lines(path: Path) -> list[Hypergraph]:
-    return [
-        parse_mmp(line)
-        for line in path.read_text().splitlines()
-        if line.strip()
-    ]
-
-
 def run_survey(cfg: SurveyConfig) -> Iterator[StageResult]:
     """Drive stages from the start hypergraph down to cfg.min_edges.
 
@@ -274,7 +261,7 @@ def run_survey(cfg: SurveyConfig) -> Iterator[StageResult]:
     for edges in range(start.num_edges - 1, cfg.min_edges - 1, -1):
         mmp_path, crit_path, json_path = _stage_paths(out, edges)
         if mmp_path.exists() and json_path.exists():
-            survivors = _load_lines(mmp_path)
+            survivors = read_mmp_file(mmp_path)
             result = StageResult.from_json(json_path.read_text())
             yield result
             continue
@@ -284,22 +271,19 @@ def run_survey(cfg: SurveyConfig) -> Iterator[StageResult]:
         result, survivors, criticals = run_stage(survivors, cfg, edges)
         for h in criticals:
             _flag_if_novel(h)
-        _replace_text(
-            mmp_path, "".join(serialize_mmp(h) + "\n" for h in survivors)
-        )
-        _replace_text(
-            crit_path, "".join(serialize_mmp(h) + "\n" for h in criticals)
-        )
-        _replace_text(json_path, result.to_json() + "\n")
+        _replace(mmp_path, lambda tmp: write_mmp_file(tmp, survivors))
+        _replace(crit_path, lambda tmp: write_mmp_file(tmp, criticals))
+        _replace(json_path, lambda tmp: tmp.write_text(result.to_json() + "\n"))
         yield result
 
 
-def _replace_text(path: Path, text: str) -> None:
-    """Write through a temp file in the same directory, then rename it over
-    ``path``: a crash leaves the old file or none, never a truncated one."""
+def _replace(path: Path, write: Callable[[Path], object]) -> None:
+    """Let ``write`` fill a temp file in the same directory, then rename it
+    over ``path``: a crash leaves the old file or none, never a truncated
+    one."""
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text)
+        write(tmp)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -330,14 +314,7 @@ def find_criticals(hs: Iterable[Hypergraph]) -> Iterator[CriticalFinding]:
     Each critical survivor is emitted once per isomorphism class with its
     parity-proof flag and maximal loop size, ready for signature tallies.
     """
-    seen: set[str] = set()
-    for h in hs:
-        if not is_critical(h):
-            continue
-        cert = canonical_form(h).text
-        if cert in seen:
-            continue
-        seen.add(cert)
+    for h in dedupe_isomorphic(h for h in hs if is_critical(h)):
         _flag_if_novel(h)
         size, _ = biggest_loop(h)
         yield CriticalFinding(h, has_parity_proof(h), size)

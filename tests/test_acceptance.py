@@ -130,15 +130,12 @@ def test_criterion_5_exhaustive_small_survey(h75):
     )
 
 
-def test_criterion_6_coupon_mle():
+def test_criterion_6_coupon_mle(exact_drops):
     est = coupon_mle(545961, 516604, digits=35)
-    exact = lambda j, n, c: (j + 1) * pow(j, n) < (j + 1 - c) * pow(
-        j + 1, n
-    )
     ok = (
         est.classes == 4893025
-        and exact(est.classes, 545961, 516604)
-        and not exact(est.classes - 1, 545961, 516604)
+        and exact_drops(est.classes, 545961, 516604)
+        and not exact_drops(est.classes - 1, 545961, 516604)
     )
     report(
         f"criterion 6: coupon_mle(545961, 516604) = {est.classes} "

@@ -5,6 +5,7 @@ from itertools import permutations
 from hypothesis import given, settings, strategies as st
 
 from ksets.canon import (
+    _CanonSearch,
     _individualize,
     _partition,
     _refine,
@@ -332,3 +333,16 @@ def test_labeling_produces_certificate():
 
 def test_vertex_count_mismatch_fast_path():
     assert are_isomorphic(parse_mmp("123."), parse_mmp("1234.")) is None
+
+
+def test_stored_automorphism_swaps_repeated_edges():
+    # not valid MMP, but canonical_form does not validate its input: six
+    # copies of one edge are interchangeable, and an automorphism that
+    # moves edge nodes lets the search prune their 6! orderings
+    h = hypergraph_from_edges([(0, 1, 2)] * 6)
+    search = _CanonSearch(h)
+    assert search.run() == ("123,123,123,123,123,123.", [0, 1, 2])
+    nv = h.num_vertices
+    assert any(
+        auto[nv + e] != nv + e for auto in search.autos for e in range(6)
+    )

@@ -1,7 +1,9 @@
 from click.testing import CliRunner
 
+from ksets.canon import canonical_form
 from ksets.cli import main
 from ksets.corpus import CORPUS_LINES
+from ksets.mmp import parse_mmp
 
 
 def invoke(*args):
@@ -190,3 +192,32 @@ def test_survey_exit_codes(tmp_path):
     assert res.exit_code == 0
     assert "edges 18" in res.output
     assert (tmp_path / "sv" / "edges-18.json").exists()
+
+
+def test_canon_writes_canonical_forms(tmp_path):
+    src = tmp_path / "in.mmp"
+    src.write_text("345,561,123.\n123,345,561.\n1234.\n")
+    out = tmp_path / "canon.mmp"
+    res = invoke("canon", "--in", str(src), "--out", str(out))
+    assert "3 inputs, 2 isomorphism classes" in res.output
+    # the class representative is the canonical form, not an input line
+    triangle = canonical_form(parse_mmp("123,345,561.")).text
+    assert triangle not in src.read_text()
+    assert out.read_text() == f"{triangle}\n1234.\n"
+
+
+def test_survey_rejects_bad_start_and_mode(tmp_path):
+    start = tmp_path / "start.mmp"
+    start.write_text("12,23.\n")
+    cfg = tmp_path / "bad-start.cfg"
+    cfg.write_text("start = start.mmp\n")
+    res = CliRunner().invoke(main, ["survey", "--config", str(cfg)])
+    assert res.exit_code == 1
+    assert f"{start}:1: edge 0 has 2 vertices" in res.output
+
+    cfg = tmp_path / "bad-mode.cfg"
+    cfg.write_text("mode = bogus\nout = sv\n")
+    res = CliRunner().invoke(main, ["survey", "--config", str(cfg)])
+    assert res.exit_code == 1
+    assert "config error" in res.output and "bogus" in res.output
+    assert not (tmp_path / "sv").exists()

@@ -117,3 +117,21 @@ def test_verdict_fields():
     assert v.colorable and v.critical is None and v.witness.is_valid_for(
         parse_mmp("123,345,561.")
     )
+
+
+def test_verdict_solves_a_ks_input_once_plus_each_removal(monkeypatch):
+    import ksets.coloring
+
+    calls = []
+    real_solve = ksets.coloring._solve
+
+    def counting(edge_masks, num_vertices):
+        calls.append(len(edge_masks))
+        return real_solve(edge_masks, num_vertices)
+
+    monkeypatch.setattr(ksets.coloring, "_solve", counting)
+    h = load("38-19")
+    v = verdict(h)
+    assert not v.colorable and v.critical is True and v.parity
+    assert len(calls) == 1 + h.num_edges
+    assert calls.count(h.num_edges) == 1

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -136,11 +138,25 @@ def test_is_connected():
     assert is_connected(load("42-24"))
 
 
-def test_file_round_trip():
+def test_file_round_trip(tmp_path):
     hs = [parse_mmp("123,345."), parse_mmp("1234.")]
-    text = write_mmp_file(hs)
-    back = list(read_mmp_file(text.splitlines()))
+    path = tmp_path / "hs.mmp"
+    assert write_mmp_file(path, iter(hs)) == 2
+    assert path.read_text() == "123,345.\n1234.\n"
+    back = read_mmp_file(path)
     assert [h.edges for h in back] == [h.edges for h in hs]
+
+
+def test_read_mmp_file_names_file_and_line(tmp_path):
+    path = tmp_path / "bad.mmp"
+    where = re.escape(str(path))
+    path.write_text("123,345.\n\n12,23.\n")
+    with pytest.raises(MmpError, match=f"^{where}:3: edge 0 has 2 vertices"):
+        read_mmp_file(path)
+    path.write_text("123,345.\n123,345\n")
+    with pytest.raises(MmpError, match=f"^{where}:2: missing final"):
+        read_mmp_file(path)
+    assert read_mmp_file(path, LENIENT)[1].edges == ((0, 1, 2), (2, 3, 4))
 
 
 @st.composite

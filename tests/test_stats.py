@@ -30,12 +30,7 @@ def test_binomial_exact():
         binomial(5, -1)
 
 
-def exact_drops(j, n, c):
-    """Exact-integer form of the MLE inequality; independent oracle."""
-    return (j + 1) * pow(j, n) < (j + 1 - c) * pow(j + 1, n)
-
-
-def test_coupon_worked_example_with_exact_oracle():
+def test_coupon_worked_example_with_exact_oracle(exact_drops):
     est = coupon_mle(545961, 516604, digits=35)
     assert est.classes == 4893025
     assert not est.unbounded
@@ -63,7 +58,7 @@ def test_coupon_validation():
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=2, max_value=2000), st.data())
-def test_coupon_matches_exact_oracle(n, data):
+def test_coupon_matches_exact_oracle(exact_drops, n, data):
     c = data.draw(st.integers(min_value=1, max_value=n - 1))
     est = coupon_mle(n, c)
     j = est.classes

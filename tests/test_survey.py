@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from ksets.corpus import load
+from ksets.mmp import MmpError
 from ksets.strip import SamplerSeed
 from ksets.survey import (
     ConfigError,
@@ -196,3 +197,34 @@ def test_torn_stage_write_resumes_cleanly(tmp_path, monkeypatch):
     assert {k: v for k, v in got.items() if k.endswith(".mmp")} == {
         k: v for k, v in want.items() if k.endswith(".mmp")
     }
+
+
+def test_unknown_mode_is_a_config_error():
+    with pytest.raises(ConfigError, match="mode"):
+        SurveyConfig(selection_mode="bogus")
+    with pytest.raises(ConfigError, match="bogus"):
+        parse_config("mode = bogus\n")
+
+
+def test_invalid_start_file_is_a_config_error(tmp_path):
+    (tmp_path / "start.mmp").write_text("12,23.\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config("start = start.mmp\n", tmp_path)
+    assert str(err.value).startswith(
+        f"{tmp_path / 'start.mmp'}:1: edge 0 has 2 vertices"
+    )
+
+
+def test_resumed_archive_is_validated(tmp_path):
+    cfg = SurveyConfig(
+        start=load("38-19"), min_edges=17, output_dir=tmp_path / "out"
+    )
+    list(run_survey(cfg))
+    archive = tmp_path / "out" / "edges-18.mmp"
+    archive.write_text("123,345,561.\n12,23.\n")
+    with pytest.raises(MmpError, match=r"edges-18\.mmp:2: edge 0 has 2"):
+        list(run_survey(cfg))
+    # archives are read strictly: the lenient missing '.' is refused too
+    archive.write_text("123,345,561\n")
+    with pytest.raises(MmpError, match=r"edges-18\.mmp:1: missing final"):
+        list(run_survey(cfg))
