@@ -11,7 +11,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .canon import canonical_form, canonical_labeling
+from .canon import canonical_labeling
 from .cell600 import build_600cell, format_vectors
 from .coloring import is_colorable, is_critical
 from .layout import LayoutConfig, emit_layout
@@ -21,7 +21,6 @@ from .mmp import (
     Hypergraph,
     MmpError,
     read_mmp_file,
-    serialize_mmp,
     vertex_to_chars,
     write_mmp_file,
 )
@@ -119,15 +118,15 @@ def strip(infile, k, window, increment, randomized, seed, connected_only,
 def canon(infile, outfile, mapping):
     """Canonicalize and drop isomorphic duplicates."""
     hs = _read(infile)
+    labelings = [canonical_labeling(h) for h in hs]
     if mapping:
-        for i, h in enumerate(hs):
-            _, vpos = canonical_labeling(h)
+        for i, (h, (_, vpos)) in enumerate(zip(hs, labelings)):
             perm = " ".join(
                 f"{vertex_to_chars(v)}->{vertex_to_chars(vpos[v])}"
                 for v in range(h.num_vertices)
             )
             click.echo(f"# {i}: {perm}")
-    forms = dict.fromkeys(canonical_form(h) for h in hs)
+    forms = dict.fromkeys(form for form, _ in labelings)
     count = write_mmp_file(outfile, (c.to_hypergraph() for c in forms))
     click.echo(f"{len(hs)} inputs, {count} isomorphism classes")
 
@@ -137,25 +136,24 @@ def canon(infile, outfile, mapping):
 @click.option("--out-colorable", required=True, type=click.Path())
 @click.option("--out-ks", required=True, type=click.Path())
 @click.option("--witness", is_flag=True,
-              help="Append each coloring's 1-valued vertices as a comment.")
+              help="Print each coloring's 1-valued vertices by input index.")
 def color(infile, out_colorable, out_ks, witness):
     """Split inputs into colorable and KS (non-colorable) sets."""
-    n_col = n_ks = 0
-    with open(out_colorable, "w") as fc, open(out_ks, "w") as fk:
-        for h in _read(infile):
-            ok, coloring = is_colorable(h)
-            if ok:
-                line = serialize_mmp(h)
-                if witness:
-                    ones = "".join(
-                        vertex_to_chars(v) for v in sorted(coloring.ones)
-                    )
-                    line += f" # ones={ones}"
-                fc.write(line + "\n")
-                n_col += 1
-            else:
-                fk.write(serialize_mmp(h) + "\n")
-                n_ks += 1
+    hs = _read(infile)
+    colorings = [is_colorable(h)[1] for h in hs]
+    if witness:
+        for i, coloring in enumerate(colorings):
+            if coloring is not None:
+                ones = "".join(
+                    vertex_to_chars(v) for v in sorted(coloring.ones)
+                )
+                click.echo(f"{i}: ones={ones}")
+    n_col = write_mmp_file(
+        out_colorable, (h for h, c in zip(hs, colorings) if c is not None)
+    )
+    n_ks = write_mmp_file(
+        out_ks, (h for h, c in zip(hs, colorings) if c is None)
+    )
     click.echo(f"{n_col} colorable, {n_ks} KS")
 
 

@@ -8,11 +8,16 @@ what lets the loop be drawn as a regular polygon with each edge on one
 side; dropping it would let chords re-enter the cycle and inflate the
 reported size far beyond the published n-gon numbers for known sets.
 
-Search is exhaustive depth-first enumeration of partial paths: the start
+Both searches walk one depth-first enumeration of partial paths: the start
 edge is pinned to the smallest index on the loop, and the induced condition
-prunes hard because every extension must avoid all covered vertices.  The
-fixed-size enumeration additionally cuts paths whose remaining loop cannot
-be completed within the still-reachable part of the intersection graph.
+prunes hard because every later edge must miss every interior path edge.
+Each node keeps that as one edge mask of candidates, and both searches cut
+with it.  The maximal-loop search is a branch and bound: a path is dropped
+when the candidates reachable from its last edge, plus a closing edge,
+cannot beat the best loop so far.  Ties never replace the best loop, so the
+witness is the first maximal loop in DFS order, as without the cut.  The
+fixed-size enumeration cuts paths whose loop cannot be completed within the
+candidates reachable from both of its ends.
 """
 
 from __future__ import annotations
@@ -73,15 +78,16 @@ class _LoopSearch:
         self.h = h
         m = h.num_edges
         self.m = m
-        self.emask = [sum(1 << v for v in e) for e in h.edges]
+        emask = [sum(1 << v for v in e) for e in h.edges]
         self.shared = [
-            [self.emask[i] & self.emask[j] if i != j else 0 for j in range(m)]
+            [emask[i] & emask[j] if i != j else 0 for j in range(m)]
             for i in range(m)
         ]
         self.adj = [
             sum(1 << j for j in range(m) if j != i and self.shared[i][j])
             for i in range(m)
         ]
+        self.hit = [a | 1 << i for i, a in enumerate(self.adj)]
         self.full = (1 << m) - 1
 
     def _reach(self, src: int, allowed: int) -> int:
@@ -100,43 +106,75 @@ class _LoopSearch:
             frontier = nxt
         return r
 
-    def longest(self) -> tuple[int, tuple[int, ...] | None]:
-        best = 0
-        witness: tuple[int, ...] | None = None
-        emask, adj = self.emask, self.adj
+    def _walk(self, visit) -> None:
+        """Depth-first over the induced paths that can still grow into a
+        loop, each pinned to its smallest edge as the start.
 
-        def dfs(start, last, used_e, mid, path):
-            # mid covers the interior edges e1..e(k-1); extensions must be
-            # disjoint from every path edge except the last, closures from
-            # every path edge except the last and the start
-            nonlocal best, witness
-            allowed = ~used_e & self.full
-            e0m = emask[start]
-            lm = emask[last]
-            blocked = mid | (e0m if len(path) > 1 else 0)
-            x = adj[last] & allowed
+        A node's state is one edge mask, ``cand``: the unused edges after
+        the start that meet no interior path edge (``hit[i]`` is the mask
+        of the edges meeting edge i, i included).  Every later loop edge
+        lies in it.  Once the path has two edges, extensions must also
+        miss the start; ``inner`` is ``cand`` without those.  ``visit(path,
+        cand, inner)`` records closures and returns False to cut the
+        branch; it runs before the extensions.
+        """
+        adj, hit = self.adj, self.hit
+
+        def dfs(path, cand):
+            last = path[-1]
+            deep = len(path) > 1
+            inner = cand & ~hit[path[0]] if deep else cand
+            if not visit(path, cand, inner):
+                return
+            keep = cand & ~hit[last] if deep else cand
+            x = adj[last] & inner
             while x:
                 b = x & -x
-                e = b.bit_length() - 1
                 x ^= b
-                em = emask[e]
-                if em & blocked == 0:
-                    path.append(e)
-                    dfs(start, e, used_e | b,
-                        mid | (lm if len(path) > 2 else 0), path)
-                    path.pop()
-                if (
-                    len(path) + 1 >= 3
-                    and len(path) + 1 > best
-                    and em & e0m
-                    and em & mid == 0
-                    and self._closable(path, e)
-                ):
-                    best = len(path) + 1
-                    witness = tuple(path) + (e,)
+                path.append(b.bit_length() - 1)
+                dfs(path, keep & ~b)
+                path.pop()
 
         for s in range(self.m):
-            dfs(s, s, (1 << (s + 1)) - 1, 0, [s])
+            dfs([s], self.full & ~((1 << (s + 1)) - 1))
+
+    def longest(self) -> tuple[int, tuple[int, ...] | None]:
+        """Largest loop and the first one of that size in DFS order.
+
+        Branch and bound: later non-closing edges form a path from the
+        last edge inside ``inner``, so a branch whose reachable part of
+        ``inner`` plus the closing edge cannot beat ``best`` is cut.  The
+        test is strict, so the witness is the unbounded search's.  Closing
+        before extending keeps it too: a closure at a node and a loop
+        below that node differ in size, so they never tie.
+        """
+        best = 0
+        witness: tuple[int, ...] | None = None
+        adj, hit = self.adj, self.hit
+
+        def visit(path, cand, inner):
+            nonlocal best, witness
+            k = len(path)
+            last = path[-1]
+            if k >= 2 and k + 1 > best:
+                x = adj[last] & cand & hit[path[0]]
+                while x:
+                    b = x & -x
+                    x ^= b
+                    e = b.bit_length() - 1
+                    if self._closable(path, e):
+                        best = k + 1
+                        witness = tuple(path) + (e,)
+                        break
+            # past the first edge the closing edge lies outside inner;
+            # inner's own size is a cheap first bound on its reachable part
+            done = k + (k > 1)
+            if done + inner.bit_count() <= best:
+                return False
+            reach = self._reach(1 << last, inner) & inner
+            return done + reach.bit_count() > best
+
+        self._walk(visit)
         return best, witness
 
     def _closable(self, path, e) -> bool:
@@ -179,42 +217,32 @@ class _LoopSearch:
 
     def exact(self, n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """All loops of exactly n edges as (edges, joints) sequences, one
-        per start choice and direction (deduplication happens upstream)."""
+        per start choice and direction (deduplication happens upstream).
+        A path is cut when the band of ``cand`` reachable from both its
+        ends holds too few edges to complete it."""
         found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        emask, adj = self.emask, self.adj
+        adj, hit = self.adj, self.hit
 
-        def dfs(start, last, used_e, mid, path):
-            allowed = ~used_e & self.full
-            if len(path) < n:
+        def visit(path, cand, inner):
+            k = len(path)
+            start, last = path[0], path[-1]
+            if k + 1 < n:
                 band = (
-                    self._reach(1 << last, allowed)
-                    & self._reach(1 << start, allowed | (1 << start))
-                    & allowed
+                    self._reach(1 << last, cand)
+                    & self._reach(1 << start, cand | (1 << start))
+                    & cand
                 )
-                if len(path) + band.bit_count() < n:
-                    return
-            e0m = emask[start]
-            lm = emask[last]
-            blocked = mid | (e0m if len(path) > 1 else 0)
-            x = adj[last] & allowed
+                return k + band.bit_count() >= n
+            x = adj[last] & cand & hit[start]
             while x:
                 b = x & -x
-                e = b.bit_length() - 1
                 x ^= b
-                em = emask[e]
-                if len(path) + 1 < n:
-                    if em & blocked == 0:
-                        path.append(e)
-                        dfs(start, e, used_e | b,
-                            mid | (lm if len(path) > 2 else 0), path)
-                        path.pop()
-                elif em & e0m and em & mid == 0:
-                    cycle = tuple(path) + (e,)
-                    for joints in self._joint_choices(cycle):
-                        found.append((cycle, joints))
+                cycle = tuple(path) + (b.bit_length() - 1,)
+                for joints in self._joint_choices(cycle):
+                    found.append((cycle, joints))
+            return False
 
-        for s in range(self.m):
-            dfs(s, s, (1 << (s + 1)) - 1, 0, [s])
+        self._walk(visit)
         return found
 
 

@@ -1,9 +1,10 @@
 from click.testing import CliRunner
 
+from ksets import canon
 from ksets.canon import canonical_form
 from ksets.cli import main
 from ksets.corpus import CORPUS_LINES
-from ksets.mmp import parse_mmp
+from ksets.mmp import parse_mmp, read_mmp_file
 
 
 def invoke(*args):
@@ -54,7 +55,10 @@ def test_color_and_critical(tmp_path):
     )
     assert res.exit_code == 0
     assert "1 colorable, 1 KS" in res.output
-    assert "# ones=" in col.read_text()
+    # the witness goes to stdout by input index; both files stay pure MMP
+    assert "0: ones=" in res.output
+    assert read_mmp_file(col) == [parse_mmp("123,345,561.")]
+    assert read_mmp_file(ks) == [parse_mmp(CORPUS_LINES["38-19"])]
 
     crit = tmp_path / "crit.mmp"
     res = invoke("critical", "--in", str(src), "--out", str(crit))
@@ -70,6 +74,26 @@ def test_canon(tmp_path):
     assert res.exit_code == 0
     assert "3 inputs, 2 isomorphism classes" in res.output
     assert "->" in res.output
+
+
+def test_canon_mapping_labels_each_input_once(tmp_path, monkeypatch):
+    runs = []
+    search = canon._CanonSearch.run
+
+    def counted(self):
+        runs.append(self.h)
+        return search(self)
+
+    monkeypatch.setattr(canon._CanonSearch, "run", counted)
+    src = tmp_path / "in.mmp"
+    src.write_text("123,345,561.\n1234.\n")
+    res = invoke(
+        "canon", "--in", str(src), "--out", str(tmp_path / "c.mmp"),
+        "--mapping",
+    )
+    assert "2 inputs, 2 isomorphism classes" in res.output
+    assert "# 1: 1->" in res.output
+    assert len(runs) == 2
 
 
 def test_loops_command(tmp_path):

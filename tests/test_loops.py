@@ -1,17 +1,104 @@
+import hashlib
 import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ksets.corpus import LOOP_SIZES, load
+from ksets.corpus import CORPUS_LINES, LOOP_SIZES, load
 from ksets.loops import (
     Loop,
+    _LoopSearch,
     biggest_loop,
     classify_edges,
     format_annotated,
     loop_arrangements,
 )
 from ksets.mmp import hypergraph_from_edges, parse_mmp
+
+
+class _ReferenceSearch(_LoopSearch):
+    """The unbounded depth-first search the branch and bound replaced:
+    every induced path is extended, and only ``exact`` cuts paths, by the
+    band reachable through all unused edges."""
+
+    def __init__(self, h):
+        super().__init__(h)
+        self.emask = [sum(1 << v for v in e) for e in h.edges]
+
+    def longest(self):
+        best = 0
+        witness = None
+        emask, adj = self.emask, self.adj
+
+        def dfs(start, last, used_e, mid, path):
+            nonlocal best, witness
+            allowed = ~used_e & self.full
+            e0m = emask[start]
+            lm = emask[last]
+            blocked = mid | (e0m if len(path) > 1 else 0)
+            x = adj[last] & allowed
+            while x:
+                b = x & -x
+                e = b.bit_length() - 1
+                x ^= b
+                em = emask[e]
+                if em & blocked == 0:
+                    path.append(e)
+                    dfs(start, e, used_e | b,
+                        mid | (lm if len(path) > 2 else 0), path)
+                    path.pop()
+                if (
+                    len(path) + 1 >= 3
+                    and len(path) + 1 > best
+                    and em & e0m
+                    and em & mid == 0
+                    and self._closable(path, e)
+                ):
+                    best = len(path) + 1
+                    witness = tuple(path) + (e,)
+
+        for s in range(self.m):
+            dfs(s, s, (1 << (s + 1)) - 1, 0, [s])
+        return best, witness
+
+    def exact(self, n):
+        found = []
+        emask, adj = self.emask, self.adj
+
+        def dfs(start, last, used_e, mid, path):
+            allowed = ~used_e & self.full
+            if len(path) < n:
+                band = (
+                    self._reach(1 << last, allowed)
+                    & self._reach(1 << start, allowed | (1 << start))
+                    & allowed
+                )
+                if len(path) + band.bit_count() < n:
+                    return
+            e0m = emask[start]
+            lm = emask[last]
+            blocked = mid | (e0m if len(path) > 1 else 0)
+            x = adj[last] & allowed
+            while x:
+                b = x & -x
+                e = b.bit_length() - 1
+                x ^= b
+                em = emask[e]
+                if len(path) + 1 < n:
+                    if em & blocked == 0:
+                        path.append(e)
+                        dfs(start, e, used_e | b,
+                            mid | (lm if len(path) > 2 else 0), path)
+                        path.pop()
+                elif em & e0m and em & mid == 0:
+                    cycle = tuple(path) + (e,)
+                    for joints in self._joint_choices(cycle):
+                        found.append((cycle, joints))
+
+        for s in range(self.m):
+            dfs(s, s, (1 << (s + 1)) - 1, 0, [s])
+        return found
 
 
 def oracle_biggest(h):
@@ -178,3 +265,75 @@ def test_format_annotated():
     head, _, rest = text.partition(". ")
     assert len(head.split(",")) == n
     assert "." in rest or "*" in rest
+
+
+@st.composite
+def random_hypergraphs(draw):
+    nv = draw(st.integers(min_value=3, max_value=14))
+    ne = draw(st.integers(min_value=1, max_value=12))
+    edges = [
+        tuple(
+            draw(
+                st.lists(
+                    st.integers(min_value=0, max_value=nv - 1),
+                    min_size=2,
+                    max_size=min(4, nv),
+                    unique=True,
+                )
+            )
+        )
+        for _ in range(ne)
+    ]
+    return hypergraph_from_edges(edges, nv)
+
+
+@st.composite
+def corpus_fragments(draw):
+    """An entry of at most 30 edges with one to five edges dropped."""
+    names = sorted(n for n in CORPUS_LINES if load(n).num_edges <= 30)
+    h = load(draw(st.sampled_from(names)))
+    drop = draw(st.sets(st.integers(0, h.num_edges - 1), min_size=1,
+                        max_size=5))
+    return hypergraph_from_edges(
+        [e for i, e in enumerate(h.edges) if i not in drop], h.num_vertices
+    )
+
+
+def assert_matches_reference(h, sizes):
+    fast, ref = _LoopSearch(h), _ReferenceSearch(h)
+    best = ref.longest()
+    assert fast.longest() == best
+    for n in sizes(best[0]):
+        assert fast.exact(n) == ref.exact(n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_hypergraphs())
+def test_search_matches_reference(h):
+    # (size, witness) and every fixed-size list, order included
+    assert_matches_reference(h, lambda best: range(3, best + 2))
+
+
+@settings(max_examples=12, deadline=None)
+@given(corpus_fragments())
+def test_search_matches_reference_on_corpus_fragments(h):
+    assert_matches_reference(h, lambda best: [best] if best else [])
+
+
+def test_fixed_size_lists_match_reference_on_corpus():
+    for name, n in LOOP_SIZES.items():
+        h = load(name)
+        if h.num_edges <= 36:
+            assert _LoopSearch(h).exact(n) == _ReferenceSearch(h).exact(n)
+
+
+def test_corpus_witnesses_are_pinned():
+    # SHA-256 of every entry's (size, witness edges, witness joints) as the
+    # unbounded search finds them, one line each in corpus order
+    text = ""
+    for name in CORPUS_LINES:
+        n, loop = biggest_loop(load(name))
+        text += f"{name} {n} {loop.edges} {loop.joints}\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a372f968ae76ecbe5b4a7e0abf398b47d3898a221b8edb92585b4b8066fc8741"
+    )
