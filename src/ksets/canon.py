@@ -28,6 +28,8 @@ partition into isomorphism classes is comparable across tools.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .mmp import Hypergraph, parse_mmp, vertex_to_chars
@@ -61,7 +63,7 @@ class IsoMapping:
             target = self.edge_map.get(ei)
             if target is None:
                 return False
-            if {self.vertex_map[v] for v in e} != set(h2.edge_sets[target]):
+            if {self.vertex_map[v] for v in e} != set(h2.edges[target]):
                 return False
         return sorted(set(self.edge_map.values())) == list(range(h2.num_edges))
 
@@ -139,9 +141,9 @@ class _CanonSearch:
                 adj[v].append(nv + ei)
                 adj[nv + ei].append(v)
         self.adj = adj
-        self.edge_set_index: dict[frozenset[int], list[int]] = {}
-        for ei, s in enumerate(h.edge_sets):
-            self.edge_set_index.setdefault(s, []).append(ei)
+        self.edge_set_index: dict[int, list[int]] = {}
+        for ei, m in enumerate(h.masks):
+            self.edge_set_index.setdefault(m, []).append(ei)
         self.best: str | None = None
         self.best_vpos: list[int] | None = None
         self.leaves: dict[str, list[int]] = {}  # cert -> full node positions
@@ -198,8 +200,8 @@ class _CanonSearch:
             inv_a[pos_a[node]] = node
         perm = [inv_a[pos_b[node]] for node in range(n)]
         used: set[int] = set()
-        for ei, s in enumerate(self.h.edge_sets):
-            image = frozenset(perm[v] for v in s)
+        for ei, e in enumerate(self.h.edges):
+            image = reduce(or_, (1 << perm[v] for v in e), 0)
             cands = [
                 c for c in self.edge_set_index.get(image, ()) if c not in used
             ]
@@ -315,14 +317,14 @@ def are_isomorphic(h1: Hypergraph, h2: Hypergraph) -> IsoMapping | None:
         return None
     inv2 = {p: v for v, p in enumerate(pos2)}
     vertex_map = {v: inv2[pos1[v]] for v in range(h1.num_vertices)}
-    sets2: dict[frozenset[int], list[int]] = {}
-    for ei, s in enumerate(h2.edge_sets):
-        sets2.setdefault(s, []).append(ei)
+    masks2: dict[int, list[int]] = {}
+    for ei, m in enumerate(h2.masks):
+        masks2.setdefault(m, []).append(ei)
     edge_map: dict[int, int] = {}
     used: set[int] = set()
-    for ei, s in enumerate(h1.edge_sets):
-        image = frozenset(vertex_map[v] for v in s)
-        cands = [c for c in sets2.get(image, ()) if c not in used]
+    for ei, e in enumerate(h1.edges):
+        image = reduce(or_, (1 << vertex_map[v] for v in e), 0)
+        cands = [c for c in masks2.get(image, ()) if c not in used]
         if not cands:
             return None
         edge_map[ei] = cands[0]

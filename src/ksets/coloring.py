@@ -27,7 +27,7 @@ class Coloring:
     def is_valid_for(self, h: Hypergraph) -> bool:
         """Check the exactly-one-per-edge predicate directly, independent of
         the solver."""
-        return all(len(s & self.ones) == 1 for s in h.edge_sets)
+        return all(len(self.ones.intersection(e)) == 1 for e in h.edges)
 
 
 @dataclass(frozen=True)
@@ -38,11 +38,7 @@ class KsVerdict:
     parity: bool
 
 
-def _edge_masks(h: Hypergraph) -> list[int]:
-    return [sum(1 << v for v in e) for e in h.edges]
-
-
-def _solve(edge_masks: list[int], num_vertices: int) -> int | None:
+def _solve(edge_masks: tuple[int, ...], num_vertices: int) -> int | None:
     """Return a bitmask of 1-valued vertices, or None if non-colorable."""
     vert_edges: list[list[int]] = [[] for _ in range(num_vertices)]
     for ei, m in enumerate(edge_masks):
@@ -118,7 +114,7 @@ def _solve(edge_masks: list[int], num_vertices: int) -> int | None:
 def is_colorable(h: Hypergraph) -> tuple[bool, Coloring | None]:
     """Decide 0/1 colorability; on success the witness verifies
     independently."""
-    mask = _solve(_edge_masks(h), h.num_vertices)
+    mask = _solve(h.masks, h.num_vertices)
     if mask is None:
         return False, None
     ones = frozenset(v for v in range(h.num_vertices) if (mask >> v) & 1)
@@ -127,18 +123,17 @@ def is_colorable(h: Hypergraph) -> tuple[bool, Coloring | None]:
 
 def is_ks(h: Hypergraph) -> bool:
     """True iff h admits no 0/1 coloring (h is a KS set)."""
-    return _solve(_edge_masks(h), h.num_vertices) is None
+    return _solve(h.masks, h.num_vertices) is None
 
 
 def is_critical(h: Hypergraph) -> bool:
     """True iff h is a KS set and every single-edge removal is colorable."""
-    masks = _edge_masks(h)
-    return _solve(masks, h.num_vertices) is None and _removals_colorable(
-        masks, h.num_vertices
+    return _solve(h.masks, h.num_vertices) is None and _removals_colorable(
+        h.masks, h.num_vertices
     )
 
 
-def _removals_colorable(masks: list[int], num_vertices: int) -> bool:
+def _removals_colorable(masks: tuple[int, ...], num_vertices: int) -> bool:
     return all(
         _solve(masks[:i] + masks[i + 1 :], num_vertices) is not None
         for i in range(len(masks))
@@ -162,6 +157,6 @@ def has_parity_proof(h: Hypergraph) -> bool:
 def verdict(h: Hypergraph) -> KsVerdict:
     colorable, witness = is_colorable(h)
     critical = (
-        None if colorable else _removals_colorable(_edge_masks(h), h.num_vertices)
+        None if colorable else _removals_colorable(h.masks, h.num_vertices)
     )
     return KsVerdict(colorable, witness, critical, has_parity_proof(h))

@@ -48,16 +48,16 @@ class Loop:
             raise ValueError("loop edges must be distinct")
         if len(set(self.joints)) != n:
             raise ValueError("loop joints must be distinct")
+        sets = [frozenset(h.edges[ei]) for ei in self.edges]
         for i in range(n):
-            a = h.edge_sets[self.edges[i]]
-            b = h.edge_sets[self.edges[(i + 1) % n]]
+            a, b = sets[i], sets[(i + 1) % n]
             if self.joints[i] not in a or self.joints[i] not in b:
                 raise ValueError(f"joint {self.joints[i]} not shared at {i}")
         for i in range(n):
             for j in range(i + 2, n):
                 if i == 0 and j == n - 1:
                     continue
-                if h.edge_sets[self.edges[i]] & h.edge_sets[self.edges[j]]:
+                if sets[i] & sets[j]:
                     raise ValueError(
                         f"non-consecutive loop edges {i},{j} share a vertex"
                     )
@@ -78,10 +78,9 @@ class _LoopSearch:
         self.h = h
         m = h.num_edges
         self.m = m
-        emask = [sum(1 << v for v in e) for e in h.edges]
         self.shared = [
-            [emask[i] & emask[j] if i != j else 0 for j in range(m)]
-            for i in range(m)
+            [a & b if i != j else 0 for j, b in enumerate(h.masks)]
+            for i, a in enumerate(h.masks)
         ]
         self.adj = [
             sum(1 << j for j in range(m) if j != i and self.shared[i][j])
@@ -317,7 +316,7 @@ def classify_edges(h: Hypergraph, loop: Loop) -> EdgeClassification:
     free = frozenset(
         ei
         for ei in range(h.num_edges)
-        if ei not in polygon and h.edge_sets[ei] & free_vertices
+        if ei not in polygon and not free_vertices.isdisjoint(h.edges[ei])
     )
     span = frozenset(range(h.num_edges)) - polygon - free
     return EdgeClassification(polygon, free, span, free_vertices)

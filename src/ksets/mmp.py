@@ -1,4 +1,5 @@
-"""MMP hypergraph data model and the bit-exact text encoding.
+"""MMP hypergraph data model (each edge a vertex tuple plus the vertex
+bitmask every search reads) and the bit-exact text encoding.
 
 An MMP hypergraph is written as one ASCII line: each vertex is a single
 printable character, each edge a string of such characters, edges separated
@@ -18,6 +19,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 # Vertex characters in their fixed interchange order.  ',' '.' and '+' are
@@ -77,18 +80,36 @@ class Hypergraph:
     """Immutable hypergraph over dense 0-based vertex ids.
 
     ``edges`` preserves both edge order and the vertex order within each
-    edge; ``edge_sets`` carries frozenset shadows for O(1) intersection
-    tests on the pipeline hot path.
+    edge; ``masks`` holds one int per edge, bit v set iff vertex v is on
+    it, built once here so that no search rebuilds vertex sets.  A vertex
+    id outside ``range(num_vertices)`` raises ``MmpError``.
     """
 
     num_vertices: int
     edges: tuple[tuple[int, ...], ...]
-    edge_sets: tuple[frozenset[int], ...] = field(init=False, repr=False, compare=False)
+    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "edge_sets", tuple(frozenset(e) for e in self.edges)
-        )
+        masks: list[int] | None = []
+        try:
+            for e in self.edges:
+                m = 0
+                for v in e:
+                    m |= 1 << v
+                masks.append(m)
+        except ValueError:  # negative shift count: a negative vertex id
+            masks = None
+        if masks is None or reduce(or_, masks, 0) >> self.num_vertices:
+            ei, v = next(
+                (ei, v)
+                for ei, e in enumerate(self.edges)
+                for v in e
+                if not 0 <= v < self.num_vertices
+            )
+            raise MmpError(
+                f"edge {ei} has vertex {v} outside 0..{self.num_vertices - 1}"
+            )
+        object.__setattr__(self, "masks", tuple(masks))
 
     @property
     def num_edges(self) -> int:
@@ -191,29 +212,25 @@ def is_connected(h: Hypergraph) -> bool:
     Edges are adjacent when they share at least one vertex.  Hypergraphs
     with zero or one edge count as connected.
     """
-    m = h.num_edges
-    if m <= 1:
-        return True
-    # union-find over edges, linked through shared vertices
-    parent = list(range(m))
+    return _connected(h.masks)
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    first_edge: dict[int, int] = {}
-    for ei, e in enumerate(h.edges):
-        for v in e:
-            if v in first_edge:
-                ra, rb = find(first_edge[v]), find(ei)
-                if ra != rb:
-                    parent[rb] = ra
+def _connected(masks: Sequence[int]) -> bool:
+    """Mask flood from the first edge: OR in every edge that meets the
+    reached vertex mask until a pass adds nothing."""
+    reached = masks[0] if masks else 0
+    rest = masks[1:]
+    while rest:
+        left = []
+        for m in rest:
+            if m & reached:
+                reached |= m
             else:
-                first_edge[v] = ei
-    root = find(0)
-    return all(find(i) == root for i in range(1, m))
+                left.append(m)
+        if len(left) == len(rest):
+            return False
+        rest = left
+    return True
 
 
 @dataclass(frozen=True)
@@ -234,32 +251,28 @@ def validate_mmp(h: Hypergraph) -> list[Violation]:
     additionally reported as duplicate edges.
     """
     out: list[Violation] = []
-    seen = [False] * h.num_vertices
-    for ei, e in enumerate(h.edges):
-        if len(set(e)) != len(e):
+    covered = 0
+    for ei, (e, m) in enumerate(zip(h.edges, h.masks)):
+        if m.bit_count() != len(e):
             out.append(
                 Violation("repeated-vertex", f"edge {ei} repeats a vertex", (ei,))
             )
-        for v in e:
-            if 0 <= v < h.num_vertices:
-                seen[v] = True
+        covered |= m
         if len(e) < 3:
             out.append(
                 Violation(
                     "ii", f"edge {ei} has {len(e)} vertices (minimum 3)", (ei,)
                 )
             )
-    for v, ok in enumerate(seen):
-        if not ok:
+    for v in range(h.num_vertices):
+        if not covered >> v & 1:
             out.append(Violation("i", f"vertex {v} belongs to no edge"))
-    for i in range(h.num_edges):
-        si = h.edge_sets[i]
-        for j in range(i + 1, h.num_edges):
-            sj = h.edge_sets[j]
-            k = len(si & sj)
+    for i, mi in enumerate(h.masks):
+        for j, mj in enumerate(h.masks[i + 1 :], i + 1):
+            k = (mi & mj).bit_count()
             if k == 0:
                 continue
-            if si == sj:
+            if mi == mj:
                 out.append(
                     Violation(
                         "duplicate-edge",
@@ -268,7 +281,7 @@ def validate_mmp(h: Hypergraph) -> list[Violation]:
                     )
                 )
                 continue
-            if min(len(si), len(sj)) < k + 2:
+            if min(mi.bit_count(), mj.bit_count()) < k + 2:
                 out.append(
                     Violation(
                         "iii",

@@ -26,6 +26,7 @@ from .loops import biggest_loop
 from .mmp import (
     Hypergraph,
     LENIENT,
+    _connected,
     is_connected,
     read_mmp_file,
     serialize_mmp,
@@ -65,8 +66,13 @@ class SurveyConfig:
     def __post_init__(self) -> None:
         if self.target < 1:
             raise ConfigError("target must be at least 1")
-        if not 0 <= self.min_edges <= 75:
-            raise ConfigError("edge range must lie within [0, 75]")
+        # the default start, the 600-cell's 60-75, has 75 edges
+        edges = 75 if self.start is None else self.start.num_edges
+        if not 0 <= self.min_edges < edges:
+            raise ConfigError(
+                f"min-edges must lie within [0, {edges - 1}] for a start with "
+                f"{edges} edges, got {self.min_edges}"
+            )
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
         if self.increment is not None and self.increment < 1:
@@ -177,11 +183,11 @@ def calibrate_increment(sample: Sequence[Hypergraph], target: int) -> float:
         raise ValueError("calibration sample is empty")
     if target < 1:
         raise ValueError("target must be at least 1")
-    survivors = 0
-    for h in sample:
-        for i in range(h.num_edges):
-            if is_connected(h.without_edge(i)):
-                survivors += 1
+    survivors = sum(
+        _connected(h.masks[:i] + h.masks[i + 1 :])
+        for h in sample
+        for i in range(h.num_edges)
+    )
     if survivors == 0:
         log.warning("calibration pilot found no surviving children")
         return 1.0

@@ -58,7 +58,7 @@ class _ReferenceSearch:
                 self.adj[v].append(nv + ei)
                 self.adj[nv + ei].append(v)
         self.edge_set_index = {}
-        for ei, s in enumerate(h.edge_sets):
+        for ei, s in enumerate(frozenset(e) for e in h.edges):
             self.edge_set_index.setdefault(s, []).append(ei)
         self.best = None
         self.best_vpos = None
@@ -105,7 +105,7 @@ class _ReferenceSearch:
             inv_a[pos_a[node]] = node
         perm = [inv_a[pos_b[node]] for node in range(n)]
         used = set()
-        for ei, s in enumerate(self.h.edge_sets):
+        for ei, s in enumerate(frozenset(e) for e in self.h.edges):
             image = frozenset(perm[v] for v in s)
             for cand in self.edge_set_index.get(image, ()):
                 if cand not in used:
@@ -157,7 +157,7 @@ def oracle_isomorphic(h1, h2):
     """All-permutations ground truth for small inputs."""
     if (h1.num_vertices, h1.num_edges) != (h2.num_vertices, h2.num_edges):
         return False
-    sets2 = sorted(h2.edge_sets, key=sorted)
+    sets2 = sorted((frozenset(e) for e in h2.edges), key=sorted)
     for perm in permutations(range(h1.num_vertices)):
         mapped = sorted(
             (frozenset(perm[v] for v in e) for e in h1.edges), key=sorted

@@ -218,6 +218,17 @@ def test_survey_exit_codes(tmp_path):
     assert (tmp_path / "sv" / "edges-18.json").exists()
 
 
+def test_survey_that_can_run_no_stage_is_a_config_error(tmp_path):
+    start = tmp_path / "start.mmp"
+    start.write_text(CORPUS_LINES["38-19"] + "\n")
+    cfg = tmp_path / "low.cfg"
+    cfg.write_text("start = start.mmp\nmin-edges = 30\nout = sv\n")
+    res = CliRunner().invoke(main, ["survey", "--config", str(cfg)])
+    assert res.exit_code == 1
+    assert "config error: min-edges must lie within [0, 18]" in res.output
+    assert not (tmp_path / "sv").exists()
+
+
 def test_canon_writes_canonical_forms(tmp_path):
     src = tmp_path / "in.mmp"
     src.write_text("345,561,123.\n123,345,561.\n1234.\n")

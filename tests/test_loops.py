@@ -104,6 +104,7 @@ class _ReferenceSearch(_LoopSearch):
 def oracle_biggest(h):
     """Brute force over all edge orderings; only for tiny inputs."""
     m = h.num_edges
+    sets = [frozenset(e) for e in h.edges]
     best = 0
     for n in range(3, m + 1):
         for seq in permutations(range(m), n):
@@ -112,7 +113,7 @@ def oracle_biggest(h):
             ok = True
             for i in range(n):
                 for j in range(i + 1, n):
-                    inter = h.edge_sets[seq[i]] & h.edge_sets[seq[j]]
+                    inter = sets[seq[i]] & sets[seq[j]]
                     consecutive = j == i + 1 or (i == 0 and j == n - 1)
                     if consecutive and not inter:
                         ok = False
@@ -127,8 +128,9 @@ def oracle_biggest(h):
 
 def _joints_exist(h, seq):
     n = len(seq)
+    sets = [frozenset(e) for e in h.edges]
     options = [
-        sorted(h.edge_sets[seq[i]] & h.edge_sets[seq[(i + 1) % n]])
+        sorted(sets[seq[i]] & sets[seq[(i + 1) % n]])
         for i in range(n)
     ]
 
@@ -245,9 +247,9 @@ def test_classification_partitions():
         assert not (cls.polygon & cls.span)
         assert not (cls.free & cls.span)
         for ei in cls.free:
-            assert h.edge_sets[ei] & cls.free_vertices
+            assert frozenset(h.edges[ei]) & cls.free_vertices
         for ei in cls.span:
-            assert not h.edge_sets[ei] & cls.free_vertices
+            assert not frozenset(h.edges[ei]) & cls.free_vertices
 
 
 def test_pure_cycle_all_polygon():

@@ -1,7 +1,10 @@
+import pickle
 import re
+from functools import reduce
+from operator import or_
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ksets.corpus import CORPUS_LINES, load, load_all
 from ksets.mmp import (
@@ -19,6 +22,14 @@ from ksets.mmp import (
     vertex_to_chars,
     write_mmp_file,
     read_mmp_file,
+    Violation,
+)
+from ksets.strip import (
+    SamplerSeed,
+    StripPlan,
+    enumerate_subsets,
+    sample_subsets,
+    strip_one_each,
 )
 
 
@@ -135,7 +146,11 @@ def test_is_connected():
     assert is_connected(parse_mmp("123,345."))
     assert not is_connected(parse_mmp("123,456."))
     assert is_connected(parse_mmp("123."))
+    assert is_connected(Hypergraph(0, ()))
     assert is_connected(load("42-24"))
+    # the flood from the first edge reaches the second one in a later pass
+    assert is_connected(parse_mmp("123,789,A56,37A."))
+    assert not is_connected(parse_mmp("123,789,456,37A."))
 
 
 def test_file_round_trip(tmp_path):
@@ -188,3 +203,142 @@ def test_serialize_parse_round_trip(h):
 def test_serialized_text_is_reparseable_stably(h):
     text = serialize_mmp(renormalize(h))
     assert serialize_mmp(parse_mmp(text)) == text
+
+
+def test_out_of_range_vertex_ids_are_rejected():
+    with pytest.raises(MmpError, match="^edge 0 has vertex 2 outside 0..1$"):
+        Hypergraph(2, ((0, 1, 2),))
+    with pytest.raises(MmpError, match="^edge 1 has vertex -1 outside 0..3$"):
+        Hypergraph(4, ((0, 1, 2), (2, -1, 3)))
+
+
+def _mask(edge):
+    return reduce(or_, (1 << v for v in edge), 0)
+
+
+def _masks_match(h):
+    return h.masks == tuple(_mask(e) for e in h.edges)
+
+
+@given(hypergraphs(), st.integers(min_value=0, max_value=2**32))
+def test_masks_match_edges_however_built(h, seed):
+    assert _masks_match(h)
+    assert _masks_match(parse_mmp(serialize_mmp(renormalize(h))))
+    assert _masks_match(renormalize(h))
+    for i in range(h.num_edges):
+        assert _masks_match(h.without_edge(i))
+    for k in (1, 2):
+        if k <= h.num_edges:
+            for child in enumerate_subsets(h, StripPlan(k=k)):
+                assert _masks_match(child)
+            for child in sample_subsets(h, k, 3, SamplerSeed(seed)):
+                assert _masks_match(child)
+    for norm in (True, False):
+        plan = StripPlan(k=1, renormalize_output=norm)
+        for child in strip_one_each([h], plan):
+            assert _masks_match(child)
+    back = pickle.loads(pickle.dumps(h))
+    assert back == h and back.masks == h.masks
+
+
+@st.composite
+def loose_hypergraphs(draw, max_edge=5, max_edges=7):
+    """Hypergraphs with short, repeated-vertex, duplicate and disjoint edges
+    and orphan vertices."""
+    nv = draw(st.integers(min_value=1, max_value=12))
+    vertex = st.integers(min_value=0, max_value=nv - 1)
+    edges = draw(
+        st.lists(st.lists(vertex, max_size=max_edge), max_size=max_edges)
+    )
+    return Hypergraph(nv, tuple(tuple(e) for e in edges))
+
+
+def _bfs_connected(h):
+    """Breadth-first search over the edge-intersection graph."""
+    sets = [frozenset(e) for e in h.edges]
+    if len(sets) <= 1:
+        return True
+    reached, frontier = {0}, [0]
+    while frontier:
+        i = frontier.pop()
+        for j, s in enumerate(sets):
+            if j not in reached and sets[i] & s:
+                reached.add(j)
+                frontier.append(j)
+    return len(reached) == len(sets)
+
+
+@settings(max_examples=500)
+@given(loose_hypergraphs(max_edge=3, max_edges=10))
+def test_is_connected_matches_bfs(h):
+    assert is_connected(h) == _bfs_connected(h)
+
+
+@given(st.data(), st.integers(min_value=2, max_value=12))
+def test_is_connected_on_shuffled_trees(data, k):
+    """Edges that each meet an earlier one, listed in a random order, so the
+    flood must take several passes; one more disjoint edge disconnects."""
+    edges = [(0, 1, 2)]
+    for i in range(1, k):
+        earlier = edges[data.draw(st.integers(0, i - 1))]
+        joint = data.draw(st.sampled_from(earlier))
+        edges.append((joint, 2 * i + 1, 2 * i + 2))
+    edges = data.draw(st.permutations(edges))
+    nv = 2 * k + 1
+    assert is_connected(hypergraph_from_edges(edges, nv))
+    assert not is_connected(hypergraph_from_edges(edges + [(nv,)], nv + 1))
+
+
+def _reference_validate(h):
+    """The frozenset implementation that ``validate_mmp`` replaced."""
+    sets = [frozenset(e) for e in h.edges]
+    out = []
+    seen = [False] * h.num_vertices
+    for ei, e in enumerate(h.edges):
+        if len(set(e)) != len(e):
+            out.append(
+                Violation("repeated-vertex", f"edge {ei} repeats a vertex", (ei,))
+            )
+        for v in e:
+            if 0 <= v < h.num_vertices:
+                seen[v] = True
+        if len(e) < 3:
+            out.append(
+                Violation(
+                    "ii", f"edge {ei} has {len(e)} vertices (minimum 3)", (ei,)
+                )
+            )
+    for v, ok in enumerate(seen):
+        if not ok:
+            out.append(Violation("i", f"vertex {v} belongs to no edge"))
+    for i in range(h.num_edges):
+        si = sets[i]
+        for j in range(i + 1, h.num_edges):
+            sj = sets[j]
+            k = len(si & sj)
+            if k == 0:
+                continue
+            if si == sj:
+                out.append(
+                    Violation(
+                        "duplicate-edge",
+                        f"edges {i} and {j} contain the same vertex set",
+                        (i, j),
+                    )
+                )
+                continue
+            if min(len(si), len(sj)) < k + 2:
+                out.append(
+                    Violation(
+                        "iii",
+                        f"edges {i} and {j} share {k} vertices but one has "
+                        f"fewer than {k + 2}",
+                        (i, j),
+                    )
+                )
+    return out
+
+
+@given(loose_hypergraphs())
+def test_validate_matches_frozenset_reference(h):
+    assert validate_mmp(h) == _reference_validate(h)

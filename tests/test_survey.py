@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from ksets.corpus import load
+from ksets.corpus import CORPUS_LINES, load
 from ksets.mmp import MmpError
 from ksets.strip import SamplerSeed
 from ksets.survey import (
@@ -32,7 +32,7 @@ def test_config_defaults_and_validation():
 
 
 def test_parse_config(tmp_path):
-    (tmp_path / "start.mmp").write_text("123,345,561.\n")
+    (tmp_path / "start.mmp").write_text(CORPUS_LINES["38-19"] + "\n")
     text = (
         "# a comment\n"
         "start = start.mmp\n"
@@ -45,7 +45,7 @@ def test_parse_config(tmp_path):
         "out = results\n"
     )
     cfg = parse_config(text, tmp_path)
-    assert cfg.start.signature == "6-3"
+    assert cfg.start.signature == "38-19"
     assert cfg.target == 1000
     assert cfg.min_edges == 10
     assert cfg.increment == 2.5
@@ -228,3 +228,41 @@ def test_resumed_archive_is_validated(tmp_path):
     archive.write_text("123,345,561\n")
     with pytest.raises(MmpError, match=r"edges-18\.mmp:1: missing final"):
         list(run_survey(cfg))
+
+
+def test_min_edges_must_be_below_the_start_edge_count(tmp_path):
+    h = load("38-19")
+    assert SurveyConfig(start=h, min_edges=18).min_edges == 18
+    assert SurveyConfig(min_edges=74).min_edges == 74
+    for bad in (19, 30, -1):
+        with pytest.raises(ConfigError, match="19 edges"):
+            SurveyConfig(start=h, min_edges=bad)
+    # the default start is the 600-cell's 60-75
+    for bad in (75, 76):
+        with pytest.raises(ConfigError, match="75 edges"):
+            SurveyConfig(min_edges=bad)
+    (tmp_path / "start.mmp").write_text(CORPUS_LINES["38-19"] + "\n")
+    with pytest.raises(ConfigError, match=r"\[0, 18\].*got 30"):
+        parse_config("start = start.mmp\nmin-edges = 30\n", tmp_path)
+
+
+def test_results_do_not_depend_on_the_worker_count(tmp_path):
+    def run(workers):
+        out = tmp_path / f"w{workers}"
+        cfg = SurveyConfig(
+            target=120,
+            min_edges=70,
+            seed=SamplerSeed(1),
+            workers=workers,
+            output_dir=out,
+        )
+        records = [{**r.__dict__, "seconds": None} for r in run_survey(cfg)]
+        files = {p.name: p.read_bytes() for p in sorted(out.glob("*.mmp"))}
+        return records, files
+
+    serial, pooled = run(1), run(2)
+    assert pooled == serial
+    # stages 71 and 70 hand enough classes to a process pool to start one
+    classes = {r["edges"]: r["non_isomorphic"] for r in serial[0]}
+    assert classes[71] == 75 and classes[70] == 73
+    assert len(serial[1]) == 10  # survivors and criticals, 74 down to 70
