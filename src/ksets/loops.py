@@ -8,16 +8,17 @@ what lets the loop be drawn as a regular polygon with each edge on one
 side; dropping it would let chords re-enter the cycle and inflate the
 reported size far beyond the published n-gon numbers for known sets.
 
-Both searches walk one depth-first enumeration of partial paths: the start
-edge is pinned to the smallest index on the loop, and the induced condition
-prunes hard because every later edge must miss every interior path edge.
-Each node keeps that as one edge mask of candidates, and both searches cut
-with it.  The maximal-loop search is a branch and bound: a path is dropped
-when the candidates reachable from its last edge, plus a closing edge,
-cannot beat the best loop so far.  Ties never replace the best loop, so the
-witness is the first maximal loop in DFS order, as without the cut.  The
-fixed-size enumeration cuts paths whose loop cannot be completed within the
-candidates reachable from both of its ends.
+Both searches walk one depth-first enumeration of partial paths that finds
+each loop once: the start edge is pinned to the smallest index on the loop,
+and the direction to the one whose second edge is below its closing edge.
+The induced condition prunes hard because every later edge must miss every
+interior path edge.  Each node keeps that as one edge mask of candidates,
+and both searches cut with it.  The maximal-loop search is a branch and
+bound: a path is dropped when the candidates reachable from its last edge,
+plus a closing edge, cannot beat the best loop so far.  Ties never replace
+the best loop, so the witness is the first maximal loop in DFS order, as
+without the cut.  The fixed-size enumeration cuts paths whose loop cannot be
+completed within the candidates reachable from both of its ends.
 """
 
 from __future__ import annotations
@@ -107,23 +108,32 @@ class _LoopSearch:
 
     def _walk(self, visit) -> None:
         """Depth-first over the induced paths that can still grow into a
-        loop, each pinned to its smallest edge as the start.
+        loop, each pinned to its smallest edge as the start and walked in
+        the direction whose second edge is below its closing edge.
 
         A node's state is one edge mask, ``cand``: the unused edges after
         the start that meet no interior path edge (``hit[i]`` is the mask
         of the edges meeting edge i, i included).  Every later loop edge
         lies in it.  Once the path has two edges, extensions must also
-        miss the start; ``inner`` is ``cand`` without those.  ``visit(path,
-        cand, inner)`` records closures and returns False to cut the
-        branch; it runs before the extensions.
+        miss the start; ``inner`` is ``cand`` without those, and ``close``
+        holds the edges of ``cand`` after the second one that meet the
+        start: the closing edge lies in it, so a path with none is cut.
+        ``visit(path, cand, inner, close)`` records closures and returns
+        False to cut the branch; it runs before the extensions.
         """
         adj, hit = self.adj, self.hit
 
         def dfs(path, cand):
             last = path[-1]
             deep = len(path) > 1
-            inner = cand & ~hit[path[0]] if deep else cand
-            if not visit(path, cand, inner):
+            if deep:
+                inner = cand & ~hit[path[0]]
+                close = cand & hit[path[0]] & ~((2 << path[1]) - 1)
+                if not close:
+                    return
+            else:
+                inner = close = cand
+            if not visit(path, cand, inner, close):
                 return
             keep = cand & ~hit[last] if deep else cand
             x = adj[last] & inner
@@ -149,14 +159,14 @@ class _LoopSearch:
         """
         best = 0
         witness: tuple[int, ...] | None = None
-        adj, hit = self.adj, self.hit
+        adj = self.adj
 
-        def visit(path, cand, inner):
+        def visit(path, cand, inner, close):
             nonlocal best, witness
             k = len(path)
             last = path[-1]
             if k >= 2 and k + 1 > best:
-                x = adj[last] & cand & hit[path[0]]
+                x = adj[last] & close
                 while x:
                     b = x & -x
                     x ^= b
@@ -215,14 +225,15 @@ class _LoopSearch:
         return out
 
     def exact(self, n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """All loops of exactly n edges as (edges, joints) sequences, one
-        per start choice and direction (deduplication happens upstream).
+        """All loops of exactly n edges as (edges, joints) sequences, each
+        edge cycle once, from its smallest edge in the direction whose
+        second edge is below its closing edge, with every joint choice.
         A path is cut when the band of ``cand`` reachable from both its
         ends holds too few edges to complete it."""
         found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        adj, hit = self.adj, self.hit
+        adj = self.adj
 
-        def visit(path, cand, inner):
+        def visit(path, cand, inner, close):
             k = len(path)
             start, last = path[0], path[-1]
             if k + 1 < n:
@@ -232,7 +243,7 @@ class _LoopSearch:
                     & cand
                 )
                 return k + band.bit_count() >= n
-            x = adj[last] & cand & hit[start]
+            x = adj[last] & close
             while x:
                 b = x & -x
                 x ^= b
@@ -252,56 +263,23 @@ def biggest_loop(h: Hypergraph) -> tuple[int, Loop | None]:
     n, path = search.longest()
     if path is None:
         return 0, None
-    joints = _choose_joints(search, path)
-    loop = Loop(path, joints)
+    choices = search._joint_choices(path)
+    if not choices:
+        raise AssertionError("witness path lost its joints")
+    loop = Loop(path, choices[0])
     loop.validate(h)
     return n, loop
 
 
-def _choose_joints(search: _LoopSearch, path: tuple[int, ...]) -> tuple[int, ...]:
-    choices = search._joint_choices(path)
-    if not choices:
-        raise AssertionError("witness path lost its joints")
-    return choices[0]
-
-
-def _normalize(edges: tuple[int, ...], joints: tuple[int, ...]):
-    """Canonical key under rotation and reflection of the cyclic
-    (edges, joints) sequence."""
-    n = len(edges)
-    variants = []
-    for r in range(n):
-        variants.append(
-            tuple(
-                (edges[(r + i) % n], joints[(r + i) % n]) for i in range(n)
-            )
-        )
-    # reflection reverses edge order and shifts the joint alignment
-    redges = tuple(reversed(edges))
-    rjoints = tuple(joints[(n - 2 - i) % n] for i in range(n))
-    for r in range(n):
-        variants.append(
-            tuple(
-                (redges[(r + i) % n], rjoints[(r + i) % n]) for i in range(n)
-            )
-        )
-    return min(variants)
-
-
 def loop_arrangements(h: Hypergraph, n: int) -> list[Loop]:
-    """All size-n loops, deduplicated under rotation and reflection;
+    """All size-n loops, each once up to rotation and reflection;
     distinct joint choices between the same edge pair count separately."""
     if n < 3:
         raise ValueError("loops have at least 3 edges")
-    search = _LoopSearch(h)
-    seen = {}
-    for edges, joints in search.exact(n):
-        key = _normalize(edges, joints)
-        if key not in seen:
-            loop = Loop(edges, joints)
-            loop.validate(h)
-            seen[key] = loop
-    return list(seen.values())
+    loops = [Loop(edges, joints) for edges, joints in _LoopSearch(h).exact(n)]
+    for loop in loops:
+        loop.validate(h)
+    return loops
 
 
 def classify_edges(h: Hypergraph, loop: Loop) -> EdgeClassification:

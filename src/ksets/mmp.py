@@ -81,8 +81,9 @@ class Hypergraph:
 
     ``edges`` preserves both edge order and the vertex order within each
     edge; ``masks`` holds one int per edge, bit v set iff vertex v is on
-    it, built once here so that no search rebuilds vertex sets.  A vertex
-    id outside ``range(num_vertices)`` raises ``MmpError``.
+    it, built once here so that no search rebuilds vertex sets.  A
+    ``num_vertices`` that is not a non-negative int, or a vertex id that is
+    not an int in ``range(num_vertices)``, raises ``MmpError``.
     """
 
     num_vertices: int
@@ -90,6 +91,9 @@ class Hypergraph:
     masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        n = self.num_vertices
+        if not isinstance(n, int) or n < 0:
+            raise MmpError(f"num_vertices must be an int >= 0, got {n!r}")
         masks: list[int] | None = []
         try:
             for e in self.edges:
@@ -97,18 +101,18 @@ class Hypergraph:
                 for v in e:
                     m |= 1 << v
                 masks.append(m)
-        except ValueError:  # negative shift count: a negative vertex id
+        except (TypeError, ValueError):  # a non-int or negative vertex id
             masks = None
-        if masks is None or reduce(or_, masks, 0) >> self.num_vertices:
+        if masks is None or reduce(or_, masks, 0) >> n:
             ei, v = next(
                 (ei, v)
                 for ei, e in enumerate(self.edges)
                 for v in e
-                if not 0 <= v < self.num_vertices
+                if not isinstance(v, int) or not 0 <= v < n
             )
-            raise MmpError(
-                f"edge {ei} has vertex {v} outside 0..{self.num_vertices - 1}"
-            )
+            if not isinstance(v, int):
+                raise MmpError(f"edge {ei} has vertex {v!r}, not an int")
+            raise MmpError(f"edge {ei} has vertex {v} outside 0..{n - 1}")
         object.__setattr__(self, "masks", tuple(masks))
 
     @property

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .canon import dedupe_isomorphic
 from .cell600 import build_600cell
-from .coloring import has_parity_proof, is_critical, is_ks
+from .coloring import _removals_colorable, has_parity_proof, is_critical, is_ks
 from .loops import biggest_loop
 from .mmp import (
     Hypergraph,
@@ -206,6 +206,12 @@ def _keep(fn, hs: list[Hypergraph], workers: int) -> list[Hypergraph]:
     return [h for h, ok in zip(hs, flags) if ok]
 
 
+def _critical_given_ks(h: Hypergraph) -> bool:
+    """``is_critical`` for a set already known to be KS: only the one-edge
+    removals are solved."""
+    return _removals_colorable(h.masks, h.num_vertices)
+
+
 def run_stage(
     inputs: Sequence[Hypergraph], cfg: SurveyConfig, edges: int
 ) -> tuple[StageResult, list[Hypergraph], list[Hypergraph]]:
@@ -227,7 +233,7 @@ def run_stage(
     kept = [h for h in stripped if is_connected(h)]
     reps = list(dedupe_isomorphic(kept))
     ks_sets = _keep(is_ks, reps, cfg.workers)
-    criticals = _keep(is_critical, ks_sets, cfg.workers)
+    criticals = _keep(_critical_given_ks, ks_sets, cfg.workers)
     odd = sum(1 for h in criticals if h.num_edges % 2 == 1)
     result = StageResult(
         edges=edges,

@@ -301,12 +301,55 @@ def corpus_fragments(draw):
     )
 
 
+def _one_direction(found):
+    """The reference's loops in the direction the search walks: second
+    edge below the closing edge."""
+    return [f for f in found if f[0][1] < f[0][-1]]
+
+
+def _normalize(edges, joints):
+    """Canonical key under rotation and reflection of the cyclic
+    (edges, joints) sequence."""
+    n = len(edges)
+    variants = []
+    for r in range(n):
+        variants.append(
+            tuple(
+                (edges[(r + i) % n], joints[(r + i) % n]) for i in range(n)
+            )
+        )
+    # reflection reverses edge order and shifts the joint alignment
+    redges = tuple(reversed(edges))
+    rjoints = tuple(joints[(n - 2 - i) % n] for i in range(n))
+    for r in range(n):
+        variants.append(
+            tuple(
+                (redges[(r + i) % n], rjoints[(r + i) % n]) for i in range(n)
+            )
+        )
+    return min(variants)
+
+
+def _reference_arrangements(h, n):
+    """The rotation and reflection dedupe ``loop_arrangements`` did over
+    both traversal directions: the first of each class in DFS order."""
+    seen = {}
+    for edges, joints in _ReferenceSearch(h).exact(n):
+        key = _normalize(edges, joints)
+        if key not in seen:
+            loop = Loop(edges, joints)
+            loop.validate(h)
+            seen[key] = loop
+    return list(seen.values())
+
+
 def assert_matches_reference(h, sizes):
     fast, ref = _LoopSearch(h), _ReferenceSearch(h)
     best = ref.longest()
     assert fast.longest() == best
     for n in sizes(best[0]):
-        assert fast.exact(n) == ref.exact(n)
+        assert fast.exact(n) == _one_direction(ref.exact(n))
+        assert loop_arrangements(h, n) == _reference_arrangements(h, n)
 
 
 @settings(max_examples=300, deadline=None)
@@ -326,7 +369,10 @@ def test_fixed_size_lists_match_reference_on_corpus():
     for name, n in LOOP_SIZES.items():
         h = load(name)
         if h.num_edges <= 36:
-            assert _LoopSearch(h).exact(n) == _ReferenceSearch(h).exact(n)
+            assert _LoopSearch(h).exact(n) == _one_direction(
+                _ReferenceSearch(h).exact(n)
+            )
+            assert loop_arrangements(h, n) == _reference_arrangements(h, n)
 
 
 def test_corpus_witnesses_are_pinned():

@@ -212,6 +212,25 @@ def test_out_of_range_vertex_ids_are_rejected():
         Hypergraph(4, ((0, 1, 2), (2, -1, 3)))
 
 
+def test_negative_vertex_count_is_rejected():
+    with pytest.raises(
+        MmpError, match="^num_vertices must be an int >= 0, got -1$"
+    ):
+        Hypergraph(-1, ())
+
+
+def test_non_int_vertex_count_is_rejected():
+    with pytest.raises(
+        MmpError, match="^num_vertices must be an int >= 0, got 2.5$"
+    ):
+        Hypergraph(2.5, ((0, 1),))
+
+
+def test_non_int_vertex_id_is_rejected():
+    with pytest.raises(MmpError, match="^edge 0 has vertex 1.0, not an int$"):
+        Hypergraph(2, ((0, 1.0),))
+
+
 def _mask(edge):
     return reduce(or_, (1 << v for v in edge), 0)
 

@@ -13,6 +13,7 @@ from ksets.survey import (
     calibrate_increment,
     find_criticals,
     parse_config,
+    run_stage,
     run_survey,
 )
 
@@ -151,6 +152,38 @@ def test_find_criticals_filters_and_dedupes(h75):
     findings = list(find_criticals([h75, h, h]))
     # 60-75 is not critical; the duplicate collapses
     assert [f.hypergraph.signature for f in findings] == ["38-19"]
+
+
+def test_stage_solves_each_representative_once(h75, monkeypatch):
+    # one full solve per class representative, then the one-edge removals
+    # for the KS ones only; 73-edge children come from the 74-edge input,
+    # 18-edge ones (all colorable) from the 38-19
+    import ksets.coloring as coloring
+
+    solve = coloring._solve
+    sizes = []
+
+    def counting_solve(masks, num_vertices):
+        sizes.append(len(masks))
+        return solve(masks, num_vertices)
+
+    monkeypatch.setattr(coloring, "_solve", counting_solve)
+    inputs = [h75.without_edge(0), load("38-19")]
+    result, ks_sets, _ = run_stage(inputs, SurveyConfig(increment=1), 73)
+    monkeypatch.undo()
+
+    def removal_solves(h):
+        # _removals_colorable stops at the first removal that stays KS
+        for i in range(h.num_edges):
+            if solve(h.masks[:i] + h.masks[i + 1 :], h.num_vertices) is None:
+                return i + 1
+        return h.num_edges
+
+    assert result.non_isomorphic > result.ks > 0
+    assert sizes.count(73) + sizes.count(18) == result.non_isomorphic
+    removals = sum(removal_solves(h) for h in ks_sets)
+    assert sizes.count(72) == removals
+    assert len(sizes) == result.non_isomorphic + removals
 
 
 def test_novel_signature_flagging(caplog):
