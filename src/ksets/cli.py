@@ -4,6 +4,7 @@ driver.  All hypergraph files are newline-delimited MMP lines."""
 
 from __future__ import annotations
 
+import json
 import sys
 from math import comb
 from pathlib import Path
@@ -258,16 +259,29 @@ def bounds(k, n, m, level, digits):
 @click.option("--out", "outfile", required=True, type=click.Path())
 def aggregate(infile, outfile):
     """Tabulate per-edge-count survey records (JSONL in, table out)."""
-    records = [
-        SurveyRecord.from_json(line)
-        for line in Path(infile).read_text().splitlines()
-        if line.strip()
-    ]
+    records: list[SurveyRecord] = []
+    first: dict[int, int] = {}  # edge count -> line of its record
+    for ln, line in enumerate(Path(infile).read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            r = SurveyRecord.from_json(line)
+        except json.JSONDecodeError as exc:
+            raise click.ClickException(f"{infile}:{ln}: not JSON: {exc}")
+        except KeyError as exc:
+            raise click.ClickException(f"{infile}:{ln}: missing field {exc}")
+        except (TypeError, ValueError) as exc:
+            raise click.ClickException(f"{infile}:{ln}: {exc}")
+        if r.edges in first:
+            raise click.ClickException(
+                f"{infile}:{ln}: second record for {r.edges} edges "
+                f"(first on line {first[r.edges]})"
+            )
+        first[r.edges] = ln
+        records.append(r)
     table, plot = survey_aggregate(records)
     Path(outfile).write_text(table)
     plot_path = Path(outfile).with_suffix(".plot.json")
-    import json
-
     plot_path.write_text(json.dumps(plot, indent=2) + "\n")
     click.echo(f"{len(records)} records -> {outfile}, {plot_path}")
 

@@ -21,7 +21,7 @@ import os
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 # Vertex characters in their fixed interchange order.  ',' '.' and '+' are
 # syntax and never vertex characters; '0' is not used.
@@ -81,9 +81,11 @@ class Hypergraph:
 
     ``edges`` preserves both edge order and the vertex order within each
     edge; ``masks`` holds one int per edge, bit v set iff vertex v is on
-    it, built once here so that no search rebuilds vertex sets.  A
-    ``num_vertices`` that is not a non-negative int, or a vertex id that is
-    not an int in ``range(num_vertices)``, raises ``MmpError``.
+    it, built once here so that no search rebuilds vertex sets.  Edges
+    given as any iterables are stored as a tuple of tuples.  A
+    ``num_vertices`` that is not a non-negative int, an edge that is not
+    iterable, or a vertex id that is not an int in ``range(num_vertices)``,
+    raises ``MmpError``.
     """
 
     num_vertices: int
@@ -94,9 +96,26 @@ class Hypergraph:
         n = self.num_vertices
         if not isinstance(n, int) or n < 0:
             raise MmpError(f"num_vertices must be an int >= 0, got {n!r}")
+        try:
+            edges = tuple(self.edges)
+        except TypeError:
+            msg = f"edges must be iterable, got {self.edges!r}"
+            raise MmpError(msg) from None
+        try:
+            # tuple() hands a tuple edge back as is, so nothing is copied
+            edges = tuple(map(tuple, edges))
+        except TypeError:
+            ei, e = next(
+                (ei, e)
+                for ei, e in enumerate(edges)
+                if not isinstance(e, Iterable)
+            )
+            msg = f"edge {ei} is {e!r}, not a vertex sequence"
+            raise MmpError(msg) from None
+        object.__setattr__(self, "edges", edges)
         masks: list[int] | None = []
         try:
-            for e in self.edges:
+            for e in edges:
                 m = 0
                 for v in e:
                     m |= 1 << v
@@ -106,7 +125,7 @@ class Hypergraph:
         if masks is None or reduce(or_, masks, 0) >> n:
             ei, v = next(
                 (ei, v)
-                for ei, e in enumerate(self.edges)
+                for ei, e in enumerate(edges)
                 for v in e
                 if not isinstance(v, int) or not 0 <= v < n
             )

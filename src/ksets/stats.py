@@ -182,7 +182,7 @@ def reg_inc_beta_inv(p, a, b, digits: int = DEFAULT_DIGITS):
     """x with I_x(a, b) = p, by bracketing bisection plus Newton polish.
 
     Raises ConvergenceError (never returns a silent bad value) when the
-    underlying continued fraction fails.
+    underlying continued fraction or the root search fails.
     """
     _check_digits(digits)
     with mp.workdps(digits):
@@ -197,6 +197,8 @@ def reg_inc_beta_inv(p, a, b, digits: int = DEFAULT_DIGITS):
         x = a / (a + b)
         for _ in range(max(digits * 4, 200)):
             fx = reg_inc_beta(x, a, b, digits) - p
+            if fx == 0:
+                return x
             if fx > 0:
                 hi = x
             else:
@@ -214,7 +216,9 @@ def reg_inc_beta_inv(p, a, b, digits: int = DEFAULT_DIGITS):
             if abs(nx - x) <= abs(x) * mp.mpf(10) ** (-(digits - 5)):
                 return nx
             x = nx
-        return x
+        raise ConvergenceError(
+            f"incomplete beta inverse did not converge (p={p}, a={a}, b={b})"
+        )
 
 
 @dataclass(frozen=True)

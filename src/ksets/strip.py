@@ -184,8 +184,10 @@ def strip_one_each(
 
     Each input with b edges yields up to b children (thinned per the plan's
     increment); children whose renormalized serializations coincide are
-    emitted once.
+    emitted once.  The plan must remove one edge (k=1) over no rank window.
     """
+    if plan.k != 1 or plan.start is not None or plan.end is not None:
+        raise ValueError("strip_one_each needs k=1 and no rank window")
     rng = rng_for(plan.seed, stream=1)
     seen: set[str] = set()
     for h in hs:

@@ -194,28 +194,19 @@ def calibrate_increment(sample: Sequence[Hypergraph], target: int) -> float:
     return max(1.0, survivors / target)
 
 
-def _keep(fn, hs: list[Hypergraph], workers: int) -> list[Hypergraph]:
-    """The inputs ``fn`` holds true for, in order; ``fn`` runs in a process
-    pool when there are workers and enough inputs to pay for one."""
-    if workers <= 1 or len(hs) < 64:
-        flags = [fn(h) for h in hs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(hs) // (workers * 8))
-            flags = list(pool.map(fn, hs, chunksize=chunk))
-    return [h for h, ok in zip(hs, flags) if ok]
-
-
-def _critical_given_ks(h: Hypergraph) -> bool:
-    """``is_critical`` for a set already known to be KS: only the one-edge
-    removals are solved."""
-    return _removals_colorable(h.masks, h.num_vertices)
+def _classify(h: Hypergraph) -> int:
+    """0 for a colorable set, 1 for a KS set, 2 for a critical one; the
+    one-edge removals are solved only for KS sets."""
+    if not is_ks(h):
+        return 0
+    return 2 if _removals_colorable(h.masks, h.num_vertices) else 1
 
 
 def run_stage(
     inputs: Sequence[Hypergraph], cfg: SurveyConfig, edges: int
 ) -> tuple[StageResult, list[Hypergraph], list[Hypergraph]]:
-    """One filter stage: returns (record, KS survivors, criticals)."""
+    """One filter stage: returns (record, KS survivors, criticals) from
+    one classification pass over the class representatives."""
     t0 = time.monotonic()
     if cfg.increment is not None:
         increment = cfg.increment
@@ -232,8 +223,15 @@ def run_stage(
     stripped = list(strip_one_each(inputs, plan))
     kept = [h for h in stripped if is_connected(h)]
     reps = list(dedupe_isomorphic(kept))
-    ks_sets = _keep(is_ks, reps, cfg.workers)
-    criticals = _keep(_critical_given_ks, ks_sets, cfg.workers)
+    # a process pool pays only with workers and enough representatives
+    if cfg.workers <= 1 or len(reps) < 64:
+        kinds = [_classify(h) for h in reps]
+    else:
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            chunk = max(1, len(reps) // (cfg.workers * 8))
+            kinds = list(pool.map(_classify, reps, chunksize=chunk))
+    ks_sets = [h for h, kind in zip(reps, kinds) if kind]
+    criticals = [h for h, kind in zip(reps, kinds) if kind == 2]
     odd = sum(1 for h in criticals if h.num_edges % 2 == 1)
     result = StageResult(
         edges=edges,

@@ -5,6 +5,7 @@ from ksets.canon import canonical_form
 from ksets.cli import main
 from ksets.corpus import CORPUS_LINES
 from ksets.mmp import parse_mmp, read_mmp_file
+from ksets.survey import StageResult
 
 
 def invoke(*args):
@@ -133,6 +134,45 @@ def test_stats_commands(tmp_path):
     assert table.exists()
     assert table.with_suffix(".plot.json").exists()
     assert "2775" in table.read_text()
+
+
+def aggregate_error(tmp_path, text, name="r.jsonl"):
+    """Run ``stats aggregate`` on ``text`` expecting a clean exit 1;
+    returns its one-line message."""
+    recs = tmp_path / name
+    recs.write_text(text)
+    out = tmp_path / "t.txt"
+    res = CliRunner().invoke(
+        main, ["stats", "aggregate", "--in", str(recs), "--out", str(out)]
+    )
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    lines = res.output.strip().splitlines()
+    assert len(lines) == 1
+    return lines[0]
+
+
+def test_aggregate_rejects_a_survey_stage_record(tmp_path):
+    stage = StageResult(70, 73, 73, 73, 73, 73, 73, 0, 0, 1.5)
+    msg = aggregate_error(tmp_path, stage.to_json() + "\n", "edges-70.json")
+    path = tmp_path / "edges-70.json"
+    assert msg == f"Error: {path}:1: missing field 'total'"
+
+
+def test_aggregate_rejects_a_non_json_line(tmp_path):
+    msg = aggregate_error(tmp_path, '{"edges": 74, "total": "75"}\nedges 73\n')
+    assert msg.startswith(f"Error: {tmp_path / 'r.jsonl'}:2: not JSON: ")
+
+
+def test_aggregate_rejects_two_records_for_one_edge_count(tmp_path):
+    msg = aggregate_error(
+        tmp_path,
+        '{"edges": 74, "total": "75"}\n\n{"edges": 74, "total": "75"}\n',
+    )
+    assert msg == (
+        f"Error: {tmp_path / 'r.jsonl'}:3: second record for 74 edges "
+        "(first on line 1)"
+    )
 
 
 def usage_error(*args):

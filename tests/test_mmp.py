@@ -231,6 +231,28 @@ def test_non_int_vertex_id_is_rejected():
         Hypergraph(2, ((0, 1.0),))
 
 
+def test_list_edges_are_stored_as_tuples():
+    h = Hypergraph(3, [[0, 1], (1, 2)])
+    assert h.edges == ((0, 1), (1, 2))
+    assert h == Hypergraph(3, ((0, 1), (1, 2)))
+    assert hash(h) == hash(Hypergraph(3, ((0, 1), (1, 2))))
+
+
+def test_tuple_edges_are_not_copied():
+    edges = ((0, 1), (1, 2))
+    assert all(a is b for a, b in zip(Hypergraph(3, edges).edges, edges))
+
+
+def test_non_iterable_edge_is_rejected():
+    with pytest.raises(MmpError, match="^edge 1 is 5, not a vertex sequence$"):
+        Hypergraph(2, ((0, 1), 5))
+
+
+def test_non_iterable_edge_collection_is_rejected():
+    with pytest.raises(MmpError, match="^edges must be iterable, got None$"):
+        Hypergraph(2, None)
+
+
 def _mask(edge):
     return reduce(or_, (1 << v for v in edge), 0)
 

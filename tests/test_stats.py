@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ksets.stats import (
+    DEFAULT_DIGITS,
     ConvergenceError,
     PrecisionError,
     SurveyRecord,
@@ -93,6 +94,36 @@ def test_beta_inverse_closed_forms():
                 want = p ** (mp.mpf(1) / a)
                 got = reg_inc_beta_inv(p, a, 1, digits=60)
                 assert abs(got - want) < mp.mpf(10) ** -50
+
+
+def test_beta_inverse_returns_an_exact_root(monkeypatch):
+    # a Newton step that lands exactly on the root must end the search,
+    # not restart it by bisection from the far end of the bracket
+    import ksets.stats as stats
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return reg_inc_beta(*args)
+
+    monkeypatch.setattr(stats, "reg_inc_beta", counting)
+    for a, b in ((1, 90), (3, 199)):
+        calls.clear()
+        reg_inc_beta_inv(0.975, a, b)
+        assert len(calls) <= 15, (a, b)
+    with mp.workdps(DEFAULT_DIGITS):
+        want = 1 - (1 - mp.mpf(0.975)) ** (mp.mpf(1) / 90)
+        assert abs(reg_inc_beta_inv(0.975, 1, 90) - want) < mp.mpf(10) ** -90
+
+
+def test_beta_inverse_that_cannot_converge_raises(monkeypatch):
+    import ksets.stats as stats
+
+    # an I_x that never comes down to p leaves no root in the bracket
+    monkeypatch.setattr(stats, "reg_inc_beta", lambda *args: mp.mpf(1))
+    with pytest.raises(ConvergenceError):
+        reg_inc_beta_inv(0.5, 2, 3)
 
 
 @settings(max_examples=40, deadline=None)

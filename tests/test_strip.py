@@ -126,6 +126,15 @@ def test_strip_one_each_counts():
     assert len(children) == 6
 
 
+@pytest.mark.parametrize(
+    "plan",
+    [StripPlan(k=3), StripPlan(k=1, start=2), StripPlan(k=1, end=4)],
+)
+def test_strip_one_each_rejects_a_plan_it_cannot_honour(plan):
+    with pytest.raises(ValueError, match="k=1 and no rank window"):
+        list(strip_one_each([H6], plan))
+
+
 def test_sample_subsets_deterministic():
     seed = SamplerSeed(123)
     a = [s.edges for s in sample_subsets(H6, 2, 10, seed)]

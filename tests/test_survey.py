@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from ksets.corpus import CORPUS_LINES, load
-from ksets.mmp import MmpError
+from ksets.mmp import Hypergraph, MmpError
 from ksets.strip import SamplerSeed
 from ksets.survey import (
     ConfigError,
@@ -186,6 +186,27 @@ def test_stage_solves_each_representative_once(h75, monkeypatch):
     assert len(sizes) == result.non_isomorphic + removals
 
 
+def test_classify_separates_colorable_ks_and_critical(h75):
+    from ksets.survey import _classify
+
+    critical = load("38-19")
+    assert _classify(critical.without_edge(0)) == 0
+    assert _classify(h75) == 1
+    assert _classify(critical) == 2
+
+
+def test_stage_archives_the_criticals_among_its_children():
+    # the 38-19 plus a copy of its first edge: dropping either copy leaves
+    # the critical 38-19, dropping any other edge a colorable set
+    h = load("38-19")
+    twin = Hypergraph(h.num_vertices, h.edges + h.edges[:1])
+    cfg = SurveyConfig(increment=1)
+    result, ks_sets, criticals = run_stage([twin], cfg, 19)
+    assert [c.signature for c in criticals] == ["38-19"]
+    assert (result.criticals_odd, result.criticals_even) == (1, 0)
+    assert ks_sets == criticals and result.non_isomorphic > 1
+
+
 def test_novel_signature_flagging(caplog):
     from ksets.mmp import parse_mmp
 
@@ -279,7 +300,18 @@ def test_min_edges_must_be_below_the_start_edge_count(tmp_path):
         parse_config("start = start.mmp\nmin-edges = 30\n", tmp_path)
 
 
-def test_results_do_not_depend_on_the_worker_count(tmp_path):
+def test_results_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+    import ksets.survey as survey
+
+    pools = []
+
+    class CountingPool(survey.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(survey, "ProcessPoolExecutor", CountingPool)
+
     def run(workers):
         out = tmp_path / f"w{workers}"
         cfg = SurveyConfig(
@@ -293,8 +325,12 @@ def test_results_do_not_depend_on_the_worker_count(tmp_path):
         files = {p.name: p.read_bytes() for p in sorted(out.glob("*.mmp"))}
         return records, files
 
-    serial, pooled = run(1), run(2)
+    serial = run(1)
+    assert pools == []
+    pooled = run(2)
     assert pooled == serial
+    # one classification pool per stage that hands work to one
+    assert pools == [2, 2]
     # stages 71 and 70 hand enough classes to a process pool to start one
     classes = {r["edges"]: r["non_isomorphic"] for r in serial[0]}
     assert classes[71] == 75 and classes[70] == 73
