@@ -21,6 +21,12 @@ in its cell and refines from its moved cell-mates only.  A branch is pruned
 when its node shares an orbit, under the automorphisms found so far that fix
 the branch's prefix, with an explored sibling.
 
+The stored automorphisms also give the orbits of a hypergraph's edges
+(``edge_orbits``).  Removing edges of one orbit yields isomorphic children,
+so an unthinned survey stage labels only the child that strips the lowest
+edge of each orbit (McKay, "Isomorph-free exhaustive generation", 1998);
+thinned stages label every kept child.
+
 The canonical representative choice is an internal convention; only the
 partition into isomorphism classes is comparable across tools.
 """
@@ -292,6 +298,23 @@ def _merge_orbits(
                 a.extend(b)
                 for y in b:
                     orbit[y] = a
+
+
+def edge_orbits(h: Hypergraph) -> list[int]:
+    """For each edge, the lowest edge index in its orbit under the
+    automorphism group of ``h``.
+
+    The automorphisms the labeling search stores generate the whole group
+    (each child of a first-path node is explored or pruned by a stored
+    automorphism), so joining the edges each of them maps onto each other
+    gives the orbits.
+    """
+    search = _CanonSearch(h)
+    search.run()
+    edges = list(range(h.num_vertices, search.n))
+    orbit = {x: [x] for x in edges}
+    _merge_orbits(orbit, edges, search.autos)
+    return [min(orbit[x]) - h.num_vertices for x in edges]
 
 
 def canonical_labeling(h: Hypergraph) -> tuple[CanonicalForm, list[int]]:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import sys
-from math import comb
+from math import comb, isfinite
 from pathlib import Path
 
 import click
@@ -46,6 +46,13 @@ def _read(path: str) -> list[Hypergraph]:
         raise click.ClickException(str(exc))
 
 
+def _finite(ctx, param, value):
+    """Refuse nan and infinities, which every range bound lets through."""
+    if not isfinite(value):
+        raise click.BadParameter(f"{value} is not a finite number")
+    return value
+
+
 @click.group()
 @click.version_option(__version__)
 def main() -> None:
@@ -58,7 +65,7 @@ def main() -> None:
               help="Edges to remove.")
 @click.option("--window", default=None, help="Colex rank window A:B.")
 @click.option("--increment", default=1.0, type=click.FloatRange(min=1.0),
-              show_default=True)
+              callback=_finite, show_default=True)
 @click.option("--random", "randomized", is_flag=True,
               help="Bernoulli thinning instead of uniform spacing.")
 @click.option("--seed", default=0, type=int, show_default=True)
@@ -176,8 +183,10 @@ def critical(infile, outfile):
               help="Write one drawing per input into this directory.")
 @click.option("--backend", default="svg",
               type=click.Choice(["svg", "asy"]), show_default=True)
-@click.option("--tension", default=1.0, type=float, show_default=True)
-@click.option("--curl", default=1.0, type=float, show_default=True)
+@click.option("--tension", default=1.0, callback=_finite, show_default=True,
+              type=click.FloatRange(min=0, min_open=True))
+@click.option("--curl", default=1.0, callback=_finite, show_default=True,
+              type=click.FloatRange(min=0, min_open=True))
 def loops(infile, all_max, draw_dir, backend, tension, curl):
     """Report maximal loop sizes, with optional arrangements and drawings."""
     cfg = LayoutConfig(
@@ -238,14 +247,23 @@ def coupon(n, c, digits):
 
 
 @stats.command()
-@click.option("--K", "k", required=True, type=float, help="Population size.")
-@click.option("--n", "n", required=True, type=int, help="Sample count.")
-@click.option("--m", "m", required=True, type=int, help="Observed successes.")
-@click.option("--level", default=0.95, type=float, show_default=True)
+@click.option("--K", "k", required=True, callback=_finite,
+              type=click.FloatRange(min=0, min_open=True),
+              help="Population size.")
+@click.option("--n", "n", required=True, type=click.IntRange(min=1),
+              help="Sample count.")
+@click.option("--m", "m", required=True, type=click.IntRange(min=0),
+              help="Observed successes.")
+@click.option("--level", default=0.95, callback=_finite, show_default=True,
+              type=click.FloatRange(0, 1, min_open=True, max_open=True))
 @click.option("--digits", default=DEFAULT_DIGITS,
               type=click.IntRange(min=MIN_DIGITS), show_default=True)
 def bounds(k, n, m, level, digits):
     """Confidence bounds on successes in the whole population."""
+    if m > n:
+        raise click.BadParameter(
+            f"{m} successes exceed {n} samples", param_hint="'--m'"
+        )
     ci = confidence_bounds(k, n, m, level, digits)
     click.echo(
         f"point {float(ci.point):.6g}  "

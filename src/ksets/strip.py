@@ -14,7 +14,7 @@ import os
 import random
 import time
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, isfinite
 from typing import Iterable, Iterator
 
 from .mmp import Hypergraph, is_connected, renormalize, serialize_mmp
@@ -71,8 +71,11 @@ class StripPlan:
     def __post_init__(self) -> None:
         if self.k < 0:
             raise ValueError("k must be non-negative")
-        if self.increment < 1:
-            raise ValueError("increment must be >= 1")
+        # nan compares false against every bound, so test finiteness too
+        if not (isfinite(self.increment) and self.increment >= 1):
+            raise ValueError(
+                f"increment must be a finite number >= 1, got {self.increment}"
+            )
         if self.selection_mode not in SELECTION_MODES:
             raise ValueError(f"unknown selection mode {self.selection_mode!r}")
         if (

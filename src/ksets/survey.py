@@ -16,10 +16,11 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from math import isfinite
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .canon import dedupe_isomorphic
+from .canon import dedupe_isomorphic, edge_orbits
 from .cell600 import build_600cell
 from .coloring import _removals_colorable, has_parity_proof, is_critical, is_ks
 from .loops import biggest_loop
@@ -29,6 +30,7 @@ from .mmp import (
     _connected,
     is_connected,
     read_mmp_file,
+    renormalize,
     serialize_mmp,
     write_mmp_file,
 )
@@ -75,8 +77,11 @@ class SurveyConfig:
             )
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
-        if self.increment is not None and self.increment < 1:
-            raise ConfigError("increment must be >= 1")
+        inc = self.increment
+        if inc is not None and not (isfinite(inc) and inc >= 1):
+            raise ConfigError(
+                f"increment must be a finite number >= 1, got {inc}"
+            )
         if self.selection_mode not in SELECTION_MODES:
             raise ConfigError(
                 f"mode must be one of {', '.join(SELECTION_MODES)}, "
@@ -206,7 +211,16 @@ def run_stage(
     inputs: Sequence[Hypergraph], cfg: SurveyConfig, edges: int
 ) -> tuple[StageResult, list[Hypergraph], list[Hypergraph]]:
     """One filter stage: returns (record, KS survivors, criticals) from
-    one classification pass over the class representatives."""
+    one classification pass over the class representatives.
+
+    An unthinned stage (increment 1) labels only the connected children
+    that strip the lowest-index edge of an automorphism orbit of their
+    parent, in (parent, edge) order.  Children from one orbit are
+    isomorphic, so the first child of each class in that order strips the
+    lowest edge of its orbit and the representatives are those of labeling
+    every child.  A thinned stage labels every connected child it keeps:
+    thinning samples children, not orbits.
+    """
     t0 = time.monotonic()
     if cfg.increment is not None:
         increment = cfg.increment
@@ -222,7 +236,16 @@ def run_stage(
     # strip_one_each thins per the plan and removes exact duplicates
     stripped = list(strip_one_each(inputs, plan))
     kept = [h for h in stripped if is_connected(h)]
-    reps = list(dedupe_isomorphic(kept))
+    labeled = kept
+    if increment == 1:
+        orbit_children = (
+            renormalize(p.without_edge(i))
+            for p in inputs
+            for i, low in enumerate(edge_orbits(p))
+            if i == low
+        )
+        labeled = [h for h in orbit_children if is_connected(h)]
+    reps = list(dedupe_isomorphic(labeled))
     # a process pool pays only with workers and enough representatives
     if cfg.workers <= 1 or len(reps) < 64:
         kinds = [_classify(h) for h in reps]

@@ -13,6 +13,7 @@ from ksets.canon import (
     canonical_form,
     canonical_labeling,
     dedupe_isomorphic,
+    edge_orbits,
 )
 from ksets.corpus import CORPUS_LINES, load
 from ksets.mmp import (
@@ -346,3 +347,48 @@ def test_stored_automorphism_swaps_repeated_edges():
     assert any(
         auto[nv + e] != nv + e for auto in search.autos for e in range(6)
     )
+
+
+def brute_force_edge_orbits(h):
+    """The lowest edge index in each edge's orbit, from every vertex
+    permutation that maps the edge multiset onto itself.  Copies of one
+    edge are interchangeable, so an automorphism moves an edge onto every
+    edge carrying the image vertex set."""
+    sets = [frozenset(e) for e in h.edges]
+    key = sorted(sorted(s) for s in sets)
+    low = list(range(h.num_edges))
+    for perm in permutations(range(h.num_vertices)):
+        images = [frozenset(perm[v] for v in s) for s in sets]
+        if sorted(sorted(s) for s in images) != key:
+            continue
+        for ei, image in enumerate(images):
+            for ej, s in enumerate(sets):
+                if s == image:
+                    low[ei] = min(low[ei], ej)
+    return low
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_hypergraphs())
+def test_edge_orbits_match_brute_force(h):
+    assert edge_orbits(h) == brute_force_edge_orbits(h)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(small_hypergraphs(), corpus_fragments()))
+def test_stored_automorphisms_map_edges_onto_edges(h):
+    search = _CanonSearch(h)
+    search.run()
+    nv = h.num_vertices
+    for auto in search.autos:
+        assert sorted(auto[nv:]) == list(range(nv, search.n))
+        for ei, e in enumerate(h.edges):
+            image = h.edges[auto[nv + ei] - nv]
+            assert {auto[v] for v in e} == set(image)
+
+
+def test_600cell_edge_orbits(h75):
+    # the 60-75's symmetry moves every edge onto every other; its 74-edge
+    # child keeps four kinds of edge
+    assert edge_orbits(h75) == [0] * 75
+    assert len(set(edge_orbits(h75.without_edge(0)))) == 4

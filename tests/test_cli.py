@@ -208,6 +208,47 @@ def test_strip_reversed_window(tmp_path):
     assert "'--window'" in msg and "past the 3 subsets" in msg
 
 
+def test_strip_non_finite_increment(tmp_path):
+    # nan passes every range bound, and inf keeps no subset
+    src = tmp_path / "in.mmp"
+    src.write_text("123,345,561.\n")
+    for bad in ("nan", "inf"):
+        msg = usage_error(
+            "strip", "--in", str(src), "--k", "1", "--increment", bad,
+            "--out", str(tmp_path / "o"),
+        )
+        assert "'--increment'" in msg and "not a finite number" in msg
+    assert not (tmp_path / "o").exists()
+
+
+def test_bounds_arguments_out_of_range():
+    cases = {
+        "--n": ["--K", "100", "--n", "0", "--m", "0"],
+        "--m": ["--K", "100", "--n", "5", "--m", "7"],
+        "--K": ["--K", "0", "--n", "5", "--m", "2"],
+        "--level": ["--K", "100", "--n", "5", "--m", "2", "--level", "1"],
+    }
+    for option, args in cases.items():
+        assert f"'{option}'" in usage_error("stats", "bounds", *args)
+    for level in ("0", "-0.5", "nan"):
+        msg = usage_error(
+            "stats", "bounds", "--K", "100", "--n", "5", "--m", "2",
+            "--level", level,
+        )
+        assert "'--level'" in msg
+    msg = usage_error("stats", "bounds", "--K", "-3", "--n", "5", "--m", "2")
+    assert "'--K'" in msg
+
+
+def test_loops_layout_parameters_must_be_positive(tmp_path):
+    src = tmp_path / "in.mmp"
+    src.write_text("123,345,561.\n")
+    for option in ("--tension", "--curl"):
+        for bad in ("0", "-1", "nan"):
+            msg = usage_error("loops", "--in", str(src), option, bad)
+            assert f"'{option}'" in msg
+
+
 def test_coupon_more_classes_than_samples():
     msg = usage_error("stats", "coupon", "--n", "3", "--c", "5")
     assert "'--c'" in msg
@@ -256,6 +297,17 @@ def test_survey_exit_codes(tmp_path):
     assert res.exit_code == 0
     assert "edges 18" in res.output
     assert (tmp_path / "sv" / "edges-18.json").exists()
+
+
+def test_survey_non_finite_increment_is_a_config_error(tmp_path):
+    # nan once passed the ">= 1" check and kept no child at 74 edges, so
+    # the run ended with exit 0
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("increment = nan\nmin-edges = 73\nout = sv\n")
+    res = CliRunner().invoke(main, ["survey", "--config", str(cfg)])
+    assert res.exit_code == 1
+    assert "finite" in res.output
+    assert not (tmp_path / "sv").exists()
 
 
 def test_survey_that_can_run_no_stage_is_a_config_error(tmp_path):

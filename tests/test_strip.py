@@ -105,6 +105,10 @@ def test_plan_validation():
         StripPlan(k=-1)
     with pytest.raises(ValueError):
         StripPlan(k=1, increment=0.5)
+    # nan compares false against 1, and inf keeps no candidate
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            StripPlan(k=1, increment=bad)
     with pytest.raises(ValueError):
         StripPlan(k=1, selection_mode="magic")
     with pytest.raises(ValueError):

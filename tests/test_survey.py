@@ -2,10 +2,19 @@ import logging
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ksets.canon import dedupe_isomorphic
+from ksets.coloring import is_critical, is_ks
 from ksets.corpus import CORPUS_LINES, load
-from ksets.mmp import Hypergraph, MmpError
-from ksets.strip import SamplerSeed
+from ksets.mmp import (
+    Hypergraph,
+    MmpError,
+    hypergraph_from_edges,
+    is_connected,
+    renormalize,
+)
+from ksets.strip import SamplerSeed, StripPlan, strip_one_each
 from ksets.survey import (
     ConfigError,
     StageResult,
@@ -30,6 +39,9 @@ def test_config_defaults_and_validation():
         SurveyConfig(workers=0)
     with pytest.raises(ConfigError):
         SurveyConfig(increment=0.5)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="finite"):
+            SurveyConfig(increment=bad)
 
 
 def test_parse_config(tmp_path):
@@ -67,6 +79,9 @@ def test_parse_config_errors(tmp_path):
         parse_config("target = notanumber\n")
     with pytest.raises(ConfigError):
         parse_config("start = missing.mmp\n", tmp_path)
+    for bad in ("nan", "inf", "-inf"):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config(f"increment = {bad}\n")
     assert parse_config("").increment is None  # auto by default
 
 
@@ -184,6 +199,127 @@ def test_stage_solves_each_representative_once(h75, monkeypatch):
     removals = sum(removal_solves(h) for h in ks_sets)
     assert sizes.count(72) == removals
     assert len(sizes) == result.non_isomorphic + removals
+
+
+def reference_stage(inputs, edges):
+    """An unthinned stage that labels every connected child: the record
+    (less ``seconds``), the representatives in order, the KS sets and the
+    criticals."""
+    stripped = list(strip_one_each(inputs, StripPlan(k=1)))
+    kept = [h for h in stripped if is_connected(h)]
+    reps = list(dedupe_isomorphic(kept))
+    ks_sets = [h for h in reps if is_ks(h)]
+    criticals = [h for h in ks_sets if is_critical(h)]
+    odd = sum(h.num_edges % 2 for h in criticals)
+    record = dict(
+        edges=edges,
+        inputs=len(inputs),
+        children=len(stripped),
+        connected=len(kept),
+        exact_unique=len(kept),
+        non_isomorphic=len(reps),
+        ks=len(ks_sets),
+        criticals_odd=odd,
+        criticals_even=len(criticals) - odd,
+    )
+    return record, reps, ks_sets, criticals
+
+
+def orbit_stage(inputs, edges, monkeypatch):
+    """``run_stage`` at increment 1, in the shape of ``reference_stage``;
+    the representatives are the ones it classifies, in order."""
+    import ksets.survey as survey
+
+    reps = []
+    classify = survey._classify
+
+    def recording(h):
+        reps.append(h)
+        return classify(h)
+
+    monkeypatch.setattr(survey, "_classify", recording)
+    result, ks_sets, criticals = run_stage(
+        inputs, SurveyConfig(increment=1), edges
+    )
+    monkeypatch.undo()
+    record = dict(result.__dict__)
+    del record["seconds"]
+    return record, reps, ks_sets, criticals
+
+
+def test_orbit_stages_match_labeling_every_child(h75, monkeypatch):
+    inputs = [h75]
+    classes = []
+    for edges in (74, 73, 72):
+        ours = orbit_stage(inputs, edges, monkeypatch)
+        assert ours == reference_stage(inputs, edges)
+        classes.append(ours[0]["non_isomorphic"])
+        inputs = ours[2]
+    assert classes == [1, 4, 19]
+
+
+# copies of one edge give exact duplicate children; a middle edge of a
+# chain leaves an unconnected child
+TWIN_CHAIN = hypergraph_from_edges(
+    [(0, 1, 2), (0, 1, 2), (2, 3, 4), (4, 5, 6)]
+)
+
+
+@st.composite
+def stage_inputs(draw):
+    """One to three small parents, the first possibly repeated so that
+    children of different parents coincide exactly."""
+    parents = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        nv = draw(st.integers(min_value=3, max_value=6))
+        edge = st.lists(
+            st.integers(min_value=0, max_value=nv - 1),
+            min_size=2,
+            max_size=3,
+            unique=True,
+        )
+        edges = draw(st.lists(edge, min_size=2, max_size=5))
+        parents.append(renormalize(hypergraph_from_edges(edges, nv)))
+    if draw(st.booleans()):
+        parents.append(parents[0])
+    return parents
+
+
+def test_orbit_stage_matches_on_duplicates_and_unconnected(monkeypatch):
+    inputs = [TWIN_CHAIN, TWIN_CHAIN]
+    ref = reference_stage(inputs, 3)
+    assert ref[0]["children"] < 2 * TWIN_CHAIN.num_edges  # exact duplicates
+    assert ref[0]["connected"] < ref[0]["children"]
+    assert orbit_stage(inputs, 3, monkeypatch) == ref
+
+
+@settings(max_examples=150, deadline=None)
+@given(stage_inputs())
+def test_orbit_stage_matches_on_random_parents(inputs):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        edges = inputs[0].num_edges - 1
+        assert orbit_stage(inputs, edges, monkeypatch) == reference_stage(
+            inputs, edges
+        )
+
+
+def test_unthinned_stage_labels_the_parent_and_one_child(h75, monkeypatch):
+    # the 60-75's 75 edges form one orbit: label it, then the child that
+    # strips edge 0, where labeling every child took 75 searches
+    from ksets.canon import _CanonSearch
+
+    searched = []
+    run = _CanonSearch.run
+
+    def counting_run(self):
+        searched.append(self.h.num_edges)
+        return run(self)
+
+    monkeypatch.setattr(_CanonSearch, "run", counting_run)
+    result, ks_sets, _ = run_stage([h75], SurveyConfig(increment=1), 74)
+    assert searched == [75, 74]
+    assert (result.children, result.non_isomorphic) == (75, 1)
+    assert ks_sets == [renormalize(h75.without_edge(0))]
 
 
 def test_classify_separates_colorable_ks_and_critical(h75):
