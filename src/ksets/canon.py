@@ -19,7 +19,12 @@ splits touch while the partition, cell order included, is that of a full
 recolouring of every node each round.  Individualizing a node puts it first
 in its cell and refines from its moved cell-mates only.  A branch is pruned
 when its node shares an orbit, under the automorphisms found so far that fix
-the branch's prefix, with an explored sibling.
+the branch's prefix, with an explored sibling.  A leaf that repeats an
+earlier leaf's certificate yields an automorphism mapping the rest of its
+branch onto explored leaves, so the search backjumps to the node where the
+two leaves' paths split and goes on with that node's next member.  Every
+skipped leaf repeats an explored certificate, so the least certificate and
+the first leaf that reaches it are unchanged.
 
 The stored automorphisms also give the orbits of a hypergraph's edges
 (``edge_orbits``).  Removing edges of one orbit yields isomorphic children,
@@ -152,7 +157,8 @@ class _CanonSearch:
             self.edge_set_index.setdefault(m, []).append(ei)
         self.best: str | None = None
         self.best_vpos: list[int] | None = None
-        self.leaves: dict[str, list[int]] = {}  # cert -> full node positions
+        # cert -> (full node positions, individualized path) of its first leaf
+        self.leaves: dict[str, tuple[list[int], list[int]]] = {}
         self.autos: list[tuple[int, ...]] = []  # full node permutations
         self.auto_set: set[tuple[int, ...]] = set()
 
@@ -166,7 +172,9 @@ class _CanonSearch:
         assert self.best is not None and self.best_vpos is not None
         return self.best, self.best_vpos
 
-    def _leaf(self, col: list[int]) -> None:
+    def _leaf(self, col: list[int], fixed: list[int]) -> int | None:
+        """Record a leaf; if an earlier leaf has its certificate and yields
+        an automorphism, return the depth the search jumps back to."""
         # discrete: a node's label is its position, and vertex nodes come
         # first, so a vertex's label is its canonical id
         vpos = col[: self.nv]
@@ -177,17 +185,26 @@ class _CanonSearch:
             ",".join("".join(vertex_to_chars(v) for v in e) for e in relabeled)
             + "."
         )
+        jump = None
         prev = self.leaves.get(cert)
         if prev is None:
-            self.leaves[cert] = col
+            self.leaves[cert] = (col, fixed)
         else:
-            perm = self._automorphism(prev, col)
-            if perm is not None and perm not in self.auto_set:
-                self.auto_set.add(perm)
-                self.autos.append(perm)
+            perm = self._automorphism(prev[0], col)
+            if perm is not None:
+                if perm not in self.auto_set:
+                    self.auto_set.add(perm)
+                    self.autos.append(perm)
+                # the two paths split below their common prefix
+                jump = 0
+                for a, b in zip(prev[1], fixed):
+                    if a != b:
+                        break
+                    jump += 1
         if self.best is None or cert < self.best:
             self.best = cert
             self.best_vpos = vpos
+        return jump
 
     def _automorphism(
         self, pos_a: list[int], pos_b: list[int]
@@ -225,13 +242,21 @@ class _CanonSearch:
         cells: dict[int, list[int]],
         fixed: list[int],
         gens: list[tuple[int, ...]],
-    ) -> None:
+    ) -> int | None:
         """Explore the subtree below the prefix ``fixed``; ``gens``, a list
         this call extends, holds the stored automorphisms that fix it
-        pointwise."""
+        pointwise.
+
+        A leaf whose certificate an earlier leaf has gives an automorphism
+        that fixes the two paths' common prefix and maps the new leaf's
+        branch below it onto the earlier, already explored branch.  Every
+        leaf left in the new branch repeats an explored certificate, so the
+        search backjumps: it returns the prefix length, and each node above
+        passes it on until the node at that depth goes on with its next
+        member.  ``None`` means no jump.
+        """
         if len(cells) == self.n:
-            self._leaf(col)
-            return
+            return self._leaf(col, fixed)
         target = min(s for s, mem in cells.items() if len(mem) > 1)
         members = cells[target]
         # a node whose orbit holds an explored sibling roots a subtree that
@@ -253,12 +278,15 @@ class _CanonSearch:
                 continue
             explored.append(node)
             col2, cells2 = _individualize(self.adj, col, cells, node)
-            self._search(
+            jump = self._search(
                 col2,
                 cells2,
                 fixed + [node],
                 [auto for auto in gens if auto[node] == node],
             )
+            if jump is not None and jump < len(fixed):
+                return jump
+        return None
 
 
 def _individualize(
@@ -306,8 +334,9 @@ def edge_orbits(h: Hypergraph) -> list[int]:
 
     The automorphisms the labeling search stores generate the whole group
     (each child of a first-path node is explored or pruned by a stored
-    automorphism), so joining the edges each of them maps onto each other
-    gives the orbits.
+    automorphism; a backjump from below such a node lands at it or deeper,
+    since every earlier leaf lies below it), so joining the edges each of
+    them maps onto each other gives the orbits.
     """
     search = _CanonSearch(h)
     search.run()

@@ -5,6 +5,12 @@ C(n, k) edge-removal subsets in a fixed colexicographic order (with
 optional rank windows for splitting work), thinning by an increment
 parameter that keeps every i-th candidate on average, and seeded uniform
 random sampling with replacement.
+
+Ranks and order are those of the removed index sets.  When more than half
+the edges go, the enumeration walks the kept edges instead: removal colex
+order is kept-set colex order reversed, so it seeks a window by unranking
+a kept set and steps to each colex predecessor, touching n - k indices per
+child instead of k.
 """
 
 from __future__ import annotations
@@ -78,12 +84,24 @@ class StripPlan:
             )
         if self.selection_mode not in SELECTION_MODES:
             raise ValueError(f"unknown selection mode {self.selection_mode!r}")
+        for name, rank in (("start", self.start), ("end", self.end)):
+            if rank is not None and rank < 0:
+                raise ValueError(f"{name} must be non-negative, got {rank}")
         if (
             self.start is not None
             and self.end is not None
             and self.start > self.end
         ):
             raise ValueError("start must not exceed end")
+
+
+def _window(total: int, start: int, end: int | None) -> tuple[int, int]:
+    """The rank window [start, end) clipped to ``total`` subsets."""
+    if end is None or end > total:
+        end = total
+    if start < 0 or start > total:
+        raise ValueError(f"window start {start} outside 0..{total}")
+    return start, end
 
 
 def colex_combinations(
@@ -94,11 +112,7 @@ def colex_combinations(
     The rank of c_1 < ... < c_k is sum_i C(c_i, i); colex order makes rank
     windows cheap to seek, which is what distributed splitting keys on.
     """
-    total = comb(n, k)
-    if end is None or end > total:
-        end = total
-    if start < 0 or start > total:
-        raise ValueError(f"window start {start} outside 0..{total}")
+    start, end = _window(comb(n, k), start, end)
     if start >= end:
         return
     combo = list(colex_unrank(n, k, start))
@@ -114,6 +128,36 @@ def colex_combinations(
                     combo[j] = j
                 break
             i += 1
+
+
+def _kept_edges(
+    n: int, k: int, start: int, end: int | None
+) -> Iterator[tuple[int, ...]]:
+    """The kept indices, ascending, of each k-of-n removal in colex order,
+    ranks [start, end).  Removal rank r keeps the set of kept colex rank
+    C(n, k) - 1 - r, so when k > n/2 the walk goes down the kept sets."""
+    if 2 * k <= n:
+        for removed in colex_combinations(n, k, start, end):
+            drop = set(removed)
+            yield tuple(i for i in range(n) if i not in drop)
+        return
+    total = comb(n, k)
+    start, end = _window(total, start, end)
+    if start >= end:
+        return
+    m = n - k
+    kept = list(colex_unrank(n, m, total - 1 - start))
+    for _ in range(end - start):
+        yield tuple(kept)
+        # predecessor: lower the lowest slot above its minimum and pack
+        # the slots below it right under it
+        i = 0
+        while i < m and kept[i] == i:
+            i += 1
+        if i < m:
+            kept[i] -= 1
+            for j in range(i):
+                kept[j] = kept[i] - i + j
 
 
 def colex_rank(combo: Iterable[int]) -> int:
@@ -154,26 +198,26 @@ def _thin(
                 yield item
 
 
-def _without(h: Hypergraph, removed: Iterable[int]) -> Hypergraph:
-    """The child of ``h`` with the edges at the ``removed`` indices gone."""
-    drop = set(removed)
-    return Hypergraph(
-        h.num_vertices, tuple(e for i, e in enumerate(h.edges) if i not in drop)
-    )
+def _child(h: Hypergraph, kept: Iterable[int]) -> Hypergraph:
+    """The child of ``h`` that keeps the edges at the ``kept`` indices."""
+    return Hypergraph(h.num_vertices, tuple(h.edges[i] for i in kept))
 
 
 def enumerate_subsets(h: Hypergraph, plan: StripPlan) -> Iterator[Hypergraph]:
-    """All k-edge-removal subsets of h in colex order, thinned and filtered
-    per plan."""
+    """All k-edge-removal subsets of h in colex order of the removed
+    indices, thinned and filtered per plan.
+
+    When k > n/2 the walk steps through the n - k kept edges instead,
+    from each kept set to its colex predecessor, with the same order and
+    rank windows.  Each child keeps its edges in parent order.
+    """
     n = h.num_edges
     if plan.k > n:
         raise ValueError(f"cannot remove {plan.k} of {n} edges")
     rng = rng_for(plan.seed, stream=0)
-    combos = colex_combinations(
-        n, plan.k, plan.start or 0, plan.end
-    )
-    for removed in _thin(combos, plan.increment, plan.selection_mode, rng):
-        child = _without(h, removed)
+    kept_sets = _kept_edges(n, plan.k, plan.start or 0, plan.end)
+    for kept in _thin(kept_sets, plan.increment, plan.selection_mode, rng):
+        child = _child(h, kept)
         if plan.connectivity_filter and not is_connected(child):
             continue
         yield renormalize(child) if plan.renormalize_output else child
@@ -219,4 +263,5 @@ def sample_subsets(
         raise ValueError(f"cannot remove {k} of {n} edges")
     rng = rng_for(seed, stream=2)
     for _ in range(count):
-        yield renormalize(_without(h, rng.sample(range(n), k)))
+        drop = set(rng.sample(range(n), k))
+        yield renormalize(_child(h, (i for i in range(n) if i not in drop)))

@@ -392,3 +392,36 @@ def test_600cell_edge_orbits(h75):
     # child keeps four kinds of edge
     assert edge_orbits(h75) == [0] * 75
     assert len(set(edge_orbits(h75.without_edge(0)))) == 4
+
+
+def group_order(gens, nv):
+    """Order of the group the generators' vertex parts generate, by
+    closing them under composition from the identity."""
+    gens = [g[:nv] for g in gens]
+    identity = tuple(range(nv))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = tuple(g[x] for x in p)
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return len(seen)
+
+
+def test_backjumping_keeps_a_generating_set(h75):
+    # a backjumping search stores fewer automorphisms (132 without it),
+    # and they still generate the 60-75's group of order 14400 and its
+    # 74-edge child's of order 192
+    search = _CanonSearch(h75)
+    search.run()
+    assert len(search.autos) <= 10
+    assert group_order(search.autos, h75.num_vertices) == 14400
+    child = renormalize(h75.without_edge(0))
+    search = _CanonSearch(child)
+    search.run()
+    assert group_order(search.autos, child.num_vertices) == 192

@@ -1,13 +1,22 @@
+import time
 from itertools import combinations
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ksets.mmp import parse_mmp, renormalize, serialize_mmp
+from ksets.mmp import (
+    Hypergraph,
+    hypergraph_from_edges,
+    is_connected,
+    parse_mmp,
+    renormalize,
+    serialize_mmp,
+)
 from ksets.strip import (
     SamplerSeed,
     StripPlan,
+    _thin,
     colex_combinations,
     colex_rank,
     colex_unrank,
@@ -18,6 +27,28 @@ from ksets.strip import (
 )
 
 H6 = parse_mmp("123,345,561,246,135,642.")
+
+
+def _without(h, removed):
+    drop = set(removed)
+    return Hypergraph(
+        h.num_vertices, tuple(e for i, e in enumerate(h.edges) if i not in drop)
+    )
+
+
+def reference_enumerate(h, plan):
+    """The removal walk that ``enumerate_subsets`` must match: drop each
+    k-subset of edge indices in colex order, whatever k is."""
+    n = h.num_edges
+    if plan.k > n:
+        raise ValueError(f"cannot remove {plan.k} of {n} edges")
+    rng = rng_for(plan.seed, stream=0)
+    combos = colex_combinations(n, plan.k, plan.start or 0, plan.end)
+    for removed in _thin(combos, plan.increment, plan.selection_mode, rng):
+        child = _without(h, removed)
+        if plan.connectivity_filter and not is_connected(child):
+            continue
+        yield renormalize(child) if plan.renormalize_output else child
 
 
 def test_colex_full_coverage():
@@ -113,6 +144,11 @@ def test_plan_validation():
         StripPlan(k=1, selection_mode="magic")
     with pytest.raises(ValueError):
         StripPlan(k=1, start=5, end=2)
+    # ranks are non-negative; caught late, a negative end would enumerate
+    # nothing and a negative start fail only once iterated
+    for bad in (dict(start=-2), dict(end=-5), dict(start=-3, end=-1)):
+        with pytest.raises(ValueError, match="non-negative"):
+            StripPlan(k=1, **bad)
     with pytest.raises(ValueError):
         list(enumerate_subsets(H6, StripPlan(k=7)))
 
@@ -187,3 +223,81 @@ def test_strip_one_each_keeps_orphans_unless_renormalizing():
     norm = list(strip_one_each([h], StripPlan(k=1, connectivity_filter=True)))
     assert norm == [renormalize(c) for c in raw]
     assert [c.num_vertices for c in norm] == [5, 5]
+
+
+@st.composite
+def windowed_plans(draw, n, k):
+    """A plan removing k of n edges over a random rank window (possibly
+    starting past the last rank), increment, mode and flags."""
+    total = comb(n, k)
+    start = draw(st.one_of(st.none(), st.integers(0, total + 1)))
+    end = draw(st.one_of(st.none(), st.integers(start or 0, total + 2)))
+    return StripPlan(
+        k=k,
+        start=start,
+        end=end,
+        increment=draw(st.sampled_from([1.0, 2.5, 3.0])),
+        selection_mode=draw(st.sampled_from(["uniform", "randomized"])),
+        connectivity_filter=draw(st.booleans()),
+        renormalize_output=draw(st.booleans()),
+        seed=SamplerSeed(draw(st.integers(0, 3))),
+    )
+
+
+def enumerations_agree(h, plan):
+    try:
+        want = list(reference_enumerate(h, plan))
+    except ValueError:
+        with pytest.raises(ValueError):
+            list(enumerate_subsets(h, plan))
+        return
+    assert list(enumerate_subsets(h, plan)) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.integers(0, 7), min_size=1, max_size=3, unique=True),
+        min_size=0,
+        max_size=12,
+    ),
+    st.data(),
+)
+def test_enumeration_matches_removal_walk(edges, data):
+    # the same children in the same order, on both sides of k = n/2
+    h = hypergraph_from_edges(edges, 8)
+    for k in range(h.num_edges + 1):
+        enumerations_agree(h, data.draw(windowed_plans(h.num_edges, k)))
+
+
+@pytest.mark.parametrize("k", range(70, 76))
+def test_600cell_enumeration_matches_removal_walk(h75, k):
+    total = comb(75, k)
+    windows = [
+        (0, 300),
+        (max(total - 300, 0), None),
+        (total // 3, total // 3 + 300),
+    ]
+    if total <= 3000:
+        windows.append((None, None))
+    for start, end in windows:
+        for connected in (False, True):
+            plan = StripPlan(
+                k=k,
+                start=start,
+                end=end,
+                connectivity_filter=connected,
+                renormalize_output=connected,
+            )
+            enumerations_agree(h75, plan)
+
+
+def test_seeking_a_far_window_is_immediate(h75):
+    # rank 10**20 of the C(75, 40) ~ 2.9e21 removals; stepping there
+    # instead of unranking would never finish
+    t0 = time.perf_counter()
+    plan = StripPlan(k=40, start=10**20, end=10**20 + 3)
+    got = list(enumerate_subsets(h75, plan))
+    assert time.perf_counter() - t0 < 1.0
+    assert got == list(reference_enumerate(h75, plan))
+    assert [c.num_edges for c in got] == [35] * 3
