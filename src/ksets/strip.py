@@ -6,11 +6,11 @@ optional rank windows for splitting work), thinning by an increment
 parameter that keeps every i-th candidate on average, and seeded uniform
 random sampling with replacement.
 
-Ranks and order are those of the removed index sets.  When more than half
-the edges go, the enumeration walks the kept edges instead: removal colex
-order is kept-set colex order reversed, so it seeks a window by unranking
-a kept set and steps to each colex predecessor, touching n - k indices per
-child instead of k.
+Ranks and order are those of the removed index sets, but the enumeration
+walks the kept edges: removal colex order is kept-set colex order
+reversed, so it seeks a window by unranking a kept set and steps to each
+colex predecessor, touching the n - k kept indices per child instead of
+scanning all n.
 """
 
 from __future__ import annotations
@@ -135,12 +135,7 @@ def _kept_edges(
 ) -> Iterator[tuple[int, ...]]:
     """The kept indices, ascending, of each k-of-n removal in colex order,
     ranks [start, end).  Removal rank r keeps the set of kept colex rank
-    C(n, k) - 1 - r, so when k > n/2 the walk goes down the kept sets."""
-    if 2 * k <= n:
-        for removed in colex_combinations(n, k, start, end):
-            drop = set(removed)
-            yield tuple(i for i in range(n) if i not in drop)
-        return
+    C(n, k) - 1 - r, so the walk goes down the kept sets."""
     total = comb(n, k)
     start, end = _window(total, start, end)
     if start >= end:
@@ -207,9 +202,9 @@ def enumerate_subsets(h: Hypergraph, plan: StripPlan) -> Iterator[Hypergraph]:
     """All k-edge-removal subsets of h in colex order of the removed
     indices, thinned and filtered per plan.
 
-    When k > n/2 the walk steps through the n - k kept edges instead,
-    from each kept set to its colex predecessor, with the same order and
-    rank windows.  Each child keeps its edges in parent order.
+    The walk steps through the n - k kept edges, from each kept set to
+    its colex predecessor, with the same order and rank windows.  Each
+    child keeps its edges in parent order.
     """
     n = h.num_edges
     if plan.k > n:

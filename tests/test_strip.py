@@ -264,7 +264,7 @@ def enumerations_agree(h, plan):
     st.data(),
 )
 def test_enumeration_matches_removal_walk(edges, data):
-    # the same children in the same order, on both sides of k = n/2
+    # the same children in the same order, for every k
     h = hypergraph_from_edges(edges, 8)
     for k in range(h.num_edges + 1):
         enumerations_agree(h, data.draw(windowed_plans(h.num_edges, k)))
