@@ -9,6 +9,14 @@ The solver is a backtracking search over vertex bitmasks with constraint
 propagation: a 1 forces 0 on all co-edge vertices, an edge whose vertices
 are all 0 but one forces the last to 1, and an edge with all vertices 0 is
 a contradiction.  Verdicts are exhaustive, not sampled.
+
+``classify`` tells colorable, KS and critical sets apart from the one-edge
+removals first.  A KS removal makes the set KS and not critical after one
+solve.  Criticality asks that the edges form a minimal unsatisfiable set
+of constraints, and model rotation (Marques-Silva and Lynce, SAT 2011)
+proves many edges necessary without solving their removals: a coloring
+that fails only edge e, with one vertex of e flipped, often fails only one
+other edge.
 """
 
 from __future__ import annotations
@@ -16,6 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .mmp import Hypergraph
+
+# the kinds ``classify`` returns
+COLORABLE, KS, CRITICAL = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -29,6 +40,12 @@ class Coloring:
         the solver."""
         return all(len(self.ones.intersection(e)) == 1 for e in h.edges)
 
+    @staticmethod
+    def from_mask(mask: int, num_vertices: int) -> "Coloring":
+        return Coloring(
+            frozenset(v for v in range(num_vertices) if (mask >> v) & 1)
+        )
+
 
 @dataclass(frozen=True)
 class KsVerdict:
@@ -38,8 +55,10 @@ class KsVerdict:
     parity: bool
 
 
-def _solve(edge_masks: tuple[int, ...], num_vertices: int) -> int | None:
-    """Return a bitmask of 1-valued vertices, or None if non-colorable."""
+def _vertex_edges(
+    edge_masks: tuple[int, ...], num_vertices: int
+) -> list[list[int]]:
+    """For each vertex, the indices of the edges on it."""
     vert_edges: list[list[int]] = [[] for _ in range(num_vertices)]
     for ei, m in enumerate(edge_masks):
         mm = m
@@ -47,6 +66,12 @@ def _solve(edge_masks: tuple[int, ...], num_vertices: int) -> int | None:
             b = mm & -mm
             vert_edges[b.bit_length() - 1].append(ei)
             mm ^= b
+    return vert_edges
+
+
+def _solve(edge_masks: tuple[int, ...], num_vertices: int) -> int | None:
+    """Return a bitmask of 1-valued vertices, or None if non-colorable."""
+    vert_edges = _vertex_edges(edge_masks, num_vertices)
 
     def propagate(ones: int, zeros: int, queue: list[int]):
         while queue:
@@ -117,8 +142,7 @@ def is_colorable(h: Hypergraph) -> tuple[bool, Coloring | None]:
     mask = _solve(h.masks, h.num_vertices)
     if mask is None:
         return False, None
-    ones = frozenset(v for v in range(h.num_vertices) if (mask >> v) & 1)
-    return True, Coloring(ones)
+    return True, Coloring.from_mask(mask, h.num_vertices)
 
 
 def is_ks(h: Hypergraph) -> bool:
@@ -128,16 +152,92 @@ def is_ks(h: Hypergraph) -> bool:
 
 def is_critical(h: Hypergraph) -> bool:
     """True iff h is a KS set and every single-edge removal is colorable."""
-    return _solve(h.masks, h.num_vertices) is None and _removals_colorable(
-        h.masks, h.num_vertices
-    )
+    return classify(h) == CRITICAL
 
 
-def _removals_colorable(masks: tuple[int, ...], num_vertices: int) -> bool:
-    return all(
-        _solve(masks[:i] + masks[i + 1 :], num_vertices) is not None
-        for i in range(len(masks))
-    )
+def classify(h: Hypergraph) -> int:
+    """COLORABLE, KS for a KS set that is not critical, or CRITICAL."""
+    return _classify(h)[0]
+
+
+def _classify(h: Hypergraph) -> tuple[int, int | None]:
+    """The kind of h, with the mask of 1-valued vertices of a coloring
+    when it is colorable.
+
+    h - e0 is solved first: if it is KS, so is h, and h is not critical.  A
+    coloring of h - e0 that gives e0 exactly one 1 colors h.  Otherwise h
+    is solved itself.  When h is KS, every coloring of a removal h - e
+    fails e alone and proves e necessary, and rotating it proves more
+    edges necessary; each edge not yet proven costs one solve of its
+    removal, and the first KS removal ends the check.
+    """
+    masks, num_vertices = h.masks, h.num_vertices
+    if not masks:
+        return COLORABLE, 0
+    ones = _solve(masks[1:], num_vertices)
+    if ones is None:
+        return KS, None
+    on_e0 = ones & masks[0]
+    if on_e0 and not on_e0 & (on_e0 - 1):
+        return COLORABLE, ones
+    whole = _solve(masks, num_vertices)
+    if whole is not None:
+        return COLORABLE, whole
+    vert_edges = _vertex_edges(masks, num_vertices)
+    necessary: set[int] = set()
+    for e in range(len(masks)):
+        if e in necessary:
+            continue
+        if e:
+            ones = _solve(masks[:e] + masks[e + 1 :], num_vertices)
+            if ones is None:
+                return KS, None
+        _rotate(masks, vert_edges, ones, e, necessary)
+    return CRITICAL, None
+
+
+def _rotate(
+    masks: tuple[int, ...],
+    vert_edges: list[list[int]],
+    ones: int,
+    e: int,
+    necessary: set[int],
+) -> list[tuple[int, int]]:
+    """Recursive model rotation from ``ones``, a coloring that fails edge
+    ``e`` alone.
+
+    Flipping a vertex of ``e`` that leaves ``e`` exactly one 1 fails every
+    other edge on that vertex, so a vertex on one other edge j gives a
+    coloring that fails j alone: j is necessary, and the rotation goes on
+    from there.  Adds ``e`` and each such j to ``necessary`` and returns
+    the new (j, coloring mask) pairs.
+    """
+    necessary.add(e)
+    found = []
+    stack = [(e, ones)]
+    while stack:
+        e, ones = stack.pop()
+        m = masks[e]
+        on = m & ones
+        rest = on & (on - 1)
+        if not on:
+            flips = m  # any vertex of e may take the 1
+        elif rest and not rest & (rest - 1):
+            flips = on  # either of its two 1s may drop to 0
+        else:
+            continue
+        while flips:
+            b = flips & -flips
+            flips ^= b
+            edges = vert_edges[b.bit_length() - 1]
+            if len(edges) != 2:
+                continue
+            j = edges[1] if edges[0] == e else edges[0]
+            if j not in necessary:
+                necessary.add(j)
+                stack.append((j, ones ^ b))
+                found.append((j, ones ^ b))
+    return found
 
 
 def has_parity_proof(h: Hypergraph) -> bool:
@@ -155,8 +255,8 @@ def has_parity_proof(h: Hypergraph) -> bool:
 
 
 def verdict(h: Hypergraph) -> KsVerdict:
-    colorable, witness = is_colorable(h)
-    critical = (
-        None if colorable else _removals_colorable(h.masks, h.num_vertices)
-    )
+    kind, ones = _classify(h)
+    colorable = kind == COLORABLE
+    witness = Coloring.from_mask(ones, h.num_vertices) if colorable else None
+    critical = None if colorable else kind == CRITICAL
     return KsVerdict(colorable, witness, critical, has_parity_proof(h))

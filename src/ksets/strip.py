@@ -218,21 +218,16 @@ def enumerate_subsets(h: Hypergraph, plan: StripPlan) -> Iterator[Hypergraph]:
         yield renormalize(child) if plan.renormalize_output else child
 
 
-def strip_one_each(
+def one_edge_children(
     hs: Iterable[Hypergraph], plan: StripPlan
-) -> Iterator[Hypergraph]:
-    """One-edge children of every input, with exact duplicates removed
-    within the batch.
-
-    Each input with b edges yields up to b children (thinned per the plan's
-    increment); children whose renormalized serializations coincide are
-    emitted once.  The plan must remove one edge (k=1) over no rank window.
-    """
+) -> Iterator[tuple[int, int, Hypergraph]]:
+    """``strip_one_each``'s children with their origins: (index of the
+    parent in ``hs``, index of the edge it strips, child)."""
     if plan.k != 1 or plan.start is not None or plan.end is not None:
         raise ValueError("strip_one_each needs k=1 and no rank window")
     rng = rng_for(plan.seed, stream=1)
     seen: set[str] = set()
-    for h in hs:
+    for p, h in enumerate(hs):
         indices = _thin(
             iter(range(h.num_edges)), plan.increment, plan.selection_mode, rng
         )
@@ -245,7 +240,21 @@ def strip_one_each(
             seen.add(key)
             if plan.connectivity_filter and not is_connected(norm):
                 continue
-            yield norm if plan.renormalize_output else child
+            yield p, i, norm if plan.renormalize_output else child
+
+
+def strip_one_each(
+    hs: Iterable[Hypergraph], plan: StripPlan
+) -> Iterator[Hypergraph]:
+    """One-edge children of every input, with exact duplicates removed
+    within the batch.
+
+    Each input with b edges yields up to b children (thinned per the plan's
+    increment); children whose renormalized serializations coincide are
+    emitted once.  The plan must remove one edge (k=1) over no rank window.
+    """
+    for _, _, child in one_edge_children(hs, plan):
+        yield child
 
 
 def sample_subsets(

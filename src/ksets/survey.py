@@ -14,15 +14,23 @@ import json
 import logging
 import os
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from math import isfinite
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .canon import dedupe_isomorphic, edge_orbits
 from .cell600 import build_600cell
-from .coloring import _removals_colorable, has_parity_proof, is_critical, is_ks
+from .coloring import (
+    COLORABLE,
+    CRITICAL,
+    classify,
+    has_parity_proof,
+    is_critical,
+    is_ks,  # noqa: F401 - unused, but the benchmark's tracer checks it
+)
 from .loops import biggest_loop
 from .mmp import (
     Hypergraph,
@@ -30,11 +38,10 @@ from .mmp import (
     _connected,
     is_connected,
     read_mmp_file,
-    renormalize,
     serialize_mmp,
     write_mmp_file,
 )
-from .strip import SELECTION_MODES, SamplerSeed, StripPlan, strip_one_each
+from .strip import SELECTION_MODES, SamplerSeed, StripPlan, one_edge_children
 
 log = logging.getLogger(__name__)
 
@@ -173,7 +180,20 @@ class StageResult:
 
     @staticmethod
     def from_json(line: str) -> "StageResult":
-        return StageResult(**json.loads(line))
+        try:
+            data = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"not JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ValueError("not a JSON object")
+        names = {f.name for f in fields(StageResult)}
+        for problem, keys in (
+            ("missing", names - data.keys()),
+            ("unknown", data.keys() - names),
+        ):
+            if keys:
+                raise ValueError(f"{problem} fields {', '.join(sorted(keys))}")
+        return StageResult(**data)
 
 
 def calibrate_increment(sample: Sequence[Hypergraph], target: int) -> float:
@@ -199,27 +219,18 @@ def calibrate_increment(sample: Sequence[Hypergraph], target: int) -> float:
     return max(1.0, survivors / target)
 
 
-def _classify(h: Hypergraph) -> int:
-    """0 for a colorable set, 1 for a KS set, 2 for a critical one; the
-    one-edge removals are solved only for KS sets."""
-    if not is_ks(h):
-        return 0
-    return 2 if _removals_colorable(h.masks, h.num_vertices) else 1
-
-
 def run_stage(
     inputs: Sequence[Hypergraph], cfg: SurveyConfig, edges: int
 ) -> tuple[StageResult, list[Hypergraph], list[Hypergraph]]:
     """One filter stage: returns (record, KS survivors, criticals) from
     one classification pass over the class representatives.
 
-    An unthinned stage (increment 1) labels only the connected children
-    that strip the lowest-index edge of an automorphism orbit of their
-    parent, in (parent, edge) order.  Children from one orbit are
-    isomorphic, so the first child of each class in that order strips the
-    lowest edge of its orbit and the representatives are those of labeling
-    every child.  A thinned stage labels every connected child it keeps:
-    thinning samples children, not orbits.
+    Thinning, exact-duplicate removal and the connectivity filter run over
+    every child, so the stage's counts are those of labeling every kept
+    child.  A parent that keeps two or more children is labeled once for
+    its edge orbits, and only the first kept child of each orbit is
+    labeled: a later one is isomorphic to an earlier kept sibling, so the
+    representatives and their order are unchanged.
     """
     t0 = time.monotonic()
     if cfg.increment is not None:
@@ -233,33 +244,33 @@ def run_stage(
         selection_mode=cfg.selection_mode,
         seed=SamplerSeed(cfg.seed.seed + edges, cfg.seed.provenance),
     )
-    # strip_one_each thins per the plan and removes exact duplicates
-    stripped = list(strip_one_each(inputs, plan))
-    kept = [h for h in stripped if is_connected(h)]
-    labeled = kept
-    if increment == 1:
-        orbit_children = (
-            renormalize(p.without_edge(i))
-            for p in inputs
-            for i, low in enumerate(edge_orbits(p))
-            if i == low
-        )
-        labeled = [h for h in orbit_children if is_connected(h)]
-    reps = list(dedupe_isomorphic(labeled))
+    # one_edge_children thins per the plan and removes exact duplicates
+    children = list(one_edge_children(inputs, plan))
+    kept = [(p, i, h) for p, i, h in children if is_connected(h)]
+    per_parent = Counter(p for p, _, _ in kept)
+    orbits: dict[int, list[int]] = {}
+    first_of_orbit: dict[tuple[int, int], Hypergraph] = {}
+    for p, i, h in kept:
+        if per_parent[p] > 1:
+            if p not in orbits:
+                orbits[p] = edge_orbits(inputs[p])
+            i = orbits[p][i]
+        first_of_orbit.setdefault((p, i), h)
+    reps = list(dedupe_isomorphic(first_of_orbit.values()))
     # a process pool pays only with workers and enough representatives
     if cfg.workers <= 1 or len(reps) < 64:
-        kinds = [_classify(h) for h in reps]
+        kinds = [classify(h) for h in reps]
     else:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             chunk = max(1, len(reps) // (cfg.workers * 8))
-            kinds = list(pool.map(_classify, reps, chunksize=chunk))
-    ks_sets = [h for h, kind in zip(reps, kinds) if kind]
-    criticals = [h for h, kind in zip(reps, kinds) if kind == 2]
+            kinds = list(pool.map(classify, reps, chunksize=chunk))
+    ks_sets = [h for h, kind in zip(reps, kinds) if kind != COLORABLE]
+    criticals = [h for h, kind in zip(reps, kinds) if kind == CRITICAL]
     odd = sum(1 for h in criticals if h.num_edges % 2 == 1)
     result = StageResult(
         edges=edges,
         inputs=len(inputs),
-        children=len(stripped),
+        children=len(children),
         connected=len(kept),
         exact_unique=len(kept),
         non_isomorphic=len(reps),
@@ -295,7 +306,14 @@ def run_survey(cfg: SurveyConfig) -> Iterator[StageResult]:
         mmp_path, crit_path, json_path = _stage_paths(out, edges)
         if mmp_path.exists() and json_path.exists():
             survivors = read_mmp_file(mmp_path)
-            result = StageResult.from_json(json_path.read_text())
+            try:
+                result = StageResult.from_json(json_path.read_text())
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{json_path}: {exc}") from exc
+            if result.edges != edges:
+                raise ValueError(
+                    f"{json_path}: record for {result.edges} edges"
+                )
             yield result
             continue
         if not survivors:

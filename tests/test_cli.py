@@ -1,3 +1,4 @@
+import pytest
 from click.testing import CliRunner
 
 from ksets import canon
@@ -348,3 +349,30 @@ def test_survey_rejects_bad_start_and_mode(tmp_path):
     assert res.exit_code == 1
     assert "config error" in res.output and "bogus" in res.output
     assert not (tmp_path / "sv").exists()
+
+
+@pytest.mark.parametrize(
+    "record, problem",
+    [
+        ('{"children": 19, "conn', "not JSON: "),
+        ('{"edges": 18, "inputs": 1}', "missing fields children, connected"),
+        ("edges-17", "record for 17 edges"),
+    ],
+)
+def test_resume_over_a_broken_stage_record_names_the_file(
+    tmp_path, record, problem
+):
+    start = tmp_path / "start.mmp"
+    start.write_text(CORPUS_LINES["38-19"] + "\n")
+    cfg = tmp_path / "ok.cfg"
+    cfg.write_text("start = start.mmp\nmin-edges = 17\nout = sv\n")
+    survey = ["survey", "--config", str(cfg)]
+    assert CliRunner().invoke(main, survey).exit_code == 0
+    path = tmp_path / "sv" / "edges-18.json"
+    if record == "edges-17":
+        record = path.read_text().replace('"edges": 18', '"edges": 17')
+    path.write_text(record)
+    res = CliRunner().invoke(main, survey)
+    assert res.exit_code == 2
+    assert f"runtime error: {path}: {problem}" in res.output
+    assert "Traceback" not in res.output

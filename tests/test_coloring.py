@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ksets.coloring import (
+    COLORABLE,
+    CRITICAL,
+    KS,
     Coloring,
+    _rotate,
+    _solve,
+    _vertex_edges,
+    classify,
     has_parity_proof,
     is_colorable,
     is_critical,
@@ -13,6 +20,7 @@ from ksets.coloring import (
 )
 from ksets.corpus import load, load_all
 from ksets.mmp import hypergraph_from_edges, parse_mmp
+from ksets.strip import SamplerSeed, sample_subsets
 
 
 def brute_force_colorable(h):
@@ -119,19 +127,108 @@ def test_verdict_fields():
     )
 
 
-def test_verdict_solves_a_ks_input_once_plus_each_removal(monkeypatch):
+def reference_kind(h):
+    """The kind by the plain check: solve h, then every one-edge removal
+    until one stays KS."""
+    if _solve(h.masks, h.num_vertices) is not None:
+        return COLORABLE
+    removals_colorable = all(
+        _solve(h.masks[:i] + h.masks[i + 1 :], h.num_vertices) is not None
+        for i in range(h.num_edges)
+    )
+    return CRITICAL if removals_colorable else KS
+
+
+def check_verdict(h):
+    kind = reference_kind(h)
+    assert classify(h) == kind
+    v = verdict(h)
+    assert v.colorable == (kind == COLORABLE)
+    assert v.critical == (None if v.colorable else kind == CRITICAL)
+    if v.colorable:
+        assert v.witness.is_valid_for(h)
+    return kind
+
+
+def check_rotations(h):
+    """Rotate from a coloring of every colorable one-edge removal; each
+    rotated coloring must color h less the edge it proves necessary."""
+    vert_edges = _vertex_edges(h.masks, h.num_vertices)
+    rotated = 0
+    for e in range(h.num_edges):
+        ones = _solve(h.masks[:e] + h.masks[e + 1 :], h.num_vertices)
+        if ones is None:
+            continue
+        for j, mask in _rotate(h.masks, vert_edges, ones, e, set()):
+            assert j != e
+            witness = Coloring.from_mask(mask, h.num_vertices)
+            assert witness.is_valid_for(h.without_edge(j))
+            rotated += 1
+    return rotated
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_hypergraphs())
+def test_classify_matches_the_removal_loop(h):
+    if check_verdict(h) != COLORABLE:
+        check_rotations(h)
+
+
+def test_classify_matches_the_removal_loop_on_the_corpus():
+    rotated = 0
+    for name, h in load_all().items():
+        assert check_verdict(h) == CRITICAL, name
+        rotated += check_rotations(h)
+    assert rotated > 0
+
+
+def count_solves(monkeypatch):
     import ksets.coloring
 
     calls = []
-    real_solve = ksets.coloring._solve
 
     def counting(edge_masks, num_vertices):
         calls.append(len(edge_masks))
-        return real_solve(edge_masks, num_vertices)
+        return _solve(edge_masks, num_vertices)
 
     monkeypatch.setattr(ksets.coloring, "_solve", counting)
+    return calls
+
+
+@pytest.mark.parametrize("edges", [71, 65, 40, 30])
+def test_classify_matches_the_removal_loop_on_60_75_subsets(
+    h75, edges, monkeypatch
+):
+    calls = count_solves(monkeypatch)
+    kinds = set()
+    for h in sample_subsets(h75, 75 - edges, 12, SamplerSeed(edges)):
+        calls.clear()
+        kind = classify(h)
+        solves = len(calls)
+        assert solves <= 2 + h.num_edges
+        if kind == KS and is_ks(h.without_edge(0)):
+            assert solves == 1
+        assert check_verdict(h) == kind
+        if kind != COLORABLE:
+            check_rotations(h)
+        kinds.add(kind)
+    assert kinds <= {COLORABLE, KS}
+
+
+def test_verdict_solve_count_is_bounded(h75, monkeypatch):
+    calls = count_solves(monkeypatch)
     h = load("38-19")
     v = verdict(h)
     assert not v.colorable and v.critical is True and v.parity
-    assert len(calls) == 1 + h.num_edges
-    assert calls.count(h.num_edges) == 1
+    assert len(calls) <= 2 + h.num_edges
+    # a KS set whose first removal is KS costs that one solve
+    calls.clear()
+    assert classify(h75) == KS and calls == [74]
+    # the plain check took 1 + n solves per corpus entry
+    calls.clear()
+    corpus = load_all().values()
+    for h in corpus:
+        before = len(calls)
+        assert classify(h) == CRITICAL
+        assert len(calls) - before <= 2 + h.num_edges
+    assert len(calls) < sum(1 + h.num_edges for h in corpus)

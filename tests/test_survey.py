@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ksets.canon import dedupe_isomorphic
-from ksets.coloring import is_critical, is_ks
+from ksets.coloring import COLORABLE, CRITICAL, KS, is_critical, is_ks
 from ksets.corpus import CORPUS_LINES, load
 from ksets.mmp import (
     Hypergraph,
@@ -169,43 +169,56 @@ def test_find_criticals_filters_and_dedupes(h75):
     assert [f.hypergraph.signature for f in findings] == ["38-19"]
 
 
-def test_stage_solves_each_representative_once(h75, monkeypatch):
-    # one full solve per class representative, then the one-edge removals
-    # for the KS ones only; 73-edge children come from the 74-edge input,
-    # 18-edge ones (all colorable) from the 38-19
+def test_stage_classifies_each_representative_within_the_solve_bound(
+    h75, monkeypatch
+):
+    # every solve comes from one classification per class representative;
+    # 73-edge children come from the 74-edge input, 18-edge ones (all
+    # colorable) from the 38-19
     import ksets.coloring as coloring
+    import ksets.survey as survey
 
     solve = coloring._solve
-    sizes = []
+    solves = []
+    per_rep = []
+    classify = survey.classify
 
     def counting_solve(masks, num_vertices):
-        sizes.append(len(masks))
+        solves.append(len(masks))
         return solve(masks, num_vertices)
 
+    def recording(h):
+        before = len(solves)
+        kind = classify(h)
+        per_rep.append((h, kind, len(solves) - before))
+        return kind
+
     monkeypatch.setattr(coloring, "_solve", counting_solve)
+    monkeypatch.setattr(survey, "classify", recording)
     inputs = [h75.without_edge(0), load("38-19")]
     result, ks_sets, _ = run_stage(inputs, SurveyConfig(increment=1), 73)
     monkeypatch.undo()
 
-    def removal_solves(h):
-        # _removals_colorable stops at the first removal that stays KS
-        for i in range(h.num_edges):
-            if solve(h.masks[:i] + h.masks[i + 1 :], h.num_vertices) is None:
-                return i + 1
-        return h.num_edges
-
     assert result.non_isomorphic > result.ks > 0
-    assert sizes.count(73) + sizes.count(18) == result.non_isomorphic
-    removals = sum(removal_solves(h) for h in ks_sets)
-    assert sizes.count(72) == removals
-    assert len(sizes) == result.non_isomorphic + removals
+    assert len(per_rep) == result.non_isomorphic
+    assert sum(n for _, _, n in per_rep) == len(solves)
+    assert [h for h, kind, _ in per_rep if kind != COLORABLE] == ks_sets
+    for h, kind, n in per_rep:
+        assert n <= 2 + h.num_edges
+        # a KS representative whose first removal is KS costs one solve
+        if kind == KS and is_ks(h.without_edge(0)):
+            assert n == 1
+    assert any(kind == KS and n == 1 for _, kind, n in per_rep)
 
 
-def reference_stage(inputs, edges):
-    """An unthinned stage that labels every connected child: the record
-    (less ``seconds``), the representatives in order, the KS sets and the
-    criticals."""
-    stripped = list(strip_one_each(inputs, StripPlan(k=1)))
+def reference_stage(inputs, edges, increment=1, mode="uniform"):
+    """A stage that labels every connected child it keeps, with the plan
+    ``run_stage`` makes at seed 0: the record (less ``seconds``), the
+    representatives in order, the KS sets and the criticals."""
+    plan = StripPlan(
+        k=1, increment=increment, selection_mode=mode, seed=SamplerSeed(edges)
+    )
+    stripped = list(strip_one_each(inputs, plan))
     kept = [h for h in stripped if is_connected(h)]
     reps = list(dedupe_isomorphic(kept))
     ks_sets = [h for h in reps if is_ks(h)]
@@ -225,22 +238,21 @@ def reference_stage(inputs, edges):
     return record, reps, ks_sets, criticals
 
 
-def orbit_stage(inputs, edges, monkeypatch):
-    """``run_stage`` at increment 1, in the shape of ``reference_stage``;
-    the representatives are the ones it classifies, in order."""
+def orbit_stage(inputs, edges, monkeypatch, increment=1, mode="uniform"):
+    """``run_stage`` in the shape of ``reference_stage``; the
+    representatives are the ones it classifies, in order."""
     import ksets.survey as survey
 
     reps = []
-    classify = survey._classify
+    classify = survey.classify
 
     def recording(h):
         reps.append(h)
         return classify(h)
 
-    monkeypatch.setattr(survey, "_classify", recording)
-    result, ks_sets, criticals = run_stage(
-        inputs, SurveyConfig(increment=1), edges
-    )
+    monkeypatch.setattr(survey, "classify", recording)
+    cfg = SurveyConfig(increment=increment, selection_mode=mode)
+    result, ks_sets, criticals = run_stage(inputs, cfg, edges)
     monkeypatch.undo()
     record = dict(result.__dict__)
     del record["seconds"]
@@ -303,6 +315,43 @@ def test_orbit_stage_matches_on_random_parents(inputs):
         )
 
 
+THINNED = [
+    (inc, mode) for inc in (2.5, 9.6) for mode in ("uniform", "randomized")
+]
+
+
+@pytest.fixture(scope="module")
+def classes_at_72(h75):
+    inputs = [h75]
+    for edges in (74, 73, 72):
+        inputs = run_stage(inputs, SurveyConfig(increment=1), edges)[1]
+    return inputs
+
+
+@pytest.mark.parametrize("increment, mode", THINNED)
+def test_thinned_stages_match_labeling_every_child(
+    classes_at_72, monkeypatch, increment, mode
+):
+    inputs = classes_at_72
+    ours = orbit_stage(inputs, 71, monkeypatch, increment, mode)
+    assert ours == reference_stage(inputs, 71, increment, mode)
+    # more kept children than parents: some parent was labeled for orbits
+    assert ours[0]["connected"] > len(inputs) == 19
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    stage_inputs(),
+    st.sampled_from([2.5, 9.6]),
+    st.sampled_from(["uniform", "randomized"]),
+)
+def test_thinned_stage_matches_on_random_parents(inputs, increment, mode):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        edges = inputs[0].num_edges - 1
+        ours = orbit_stage(inputs, edges, monkeypatch, increment, mode)
+        assert ours == reference_stage(inputs, edges, increment, mode)
+
+
 def test_unthinned_stage_labels_the_parent_and_one_child(h75, monkeypatch):
     # the 60-75's 75 edges form one orbit: label it, then the child that
     # strips edge 0, where labeling every child took 75 searches
@@ -322,13 +371,33 @@ def test_unthinned_stage_labels_the_parent_and_one_child(h75, monkeypatch):
     assert ks_sets == [renormalize(h75.without_edge(0))]
 
 
+@pytest.mark.parametrize("mode", ["uniform", "randomized"])
+def test_thinned_stage_labels_the_parent_and_one_child(h75, monkeypatch, mode):
+    # the children a thinned stage keeps from the 60-75 all lie in its one
+    # edge orbit: label the parent, then the first kept child
+    from ksets.canon import _CanonSearch
+
+    searched = []
+    run = _CanonSearch.run
+
+    def counting_run(self):
+        searched.append(self.h.num_edges)
+        return run(self)
+
+    monkeypatch.setattr(_CanonSearch, "run", counting_run)
+    cfg = SurveyConfig(increment=2.5, selection_mode=mode)
+    result, _, _ = run_stage([h75], cfg, 74)
+    assert searched == [75, 74]
+    assert result.connected > 1 and result.non_isomorphic == 1
+
+
 def test_classify_separates_colorable_ks_and_critical(h75):
-    from ksets.survey import _classify
+    from ksets.survey import classify
 
     critical = load("38-19")
-    assert _classify(critical.without_edge(0)) == 0
-    assert _classify(h75) == 1
-    assert _classify(critical) == 2
+    assert classify(critical.without_edge(0)) == COLORABLE
+    assert classify(h75) == KS
+    assert classify(critical) == CRITICAL
 
 
 def test_stage_archives_the_criticals_among_its_children():
