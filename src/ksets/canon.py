@@ -24,7 +24,11 @@ earlier leaf's certificate yields an automorphism mapping the rest of its
 branch onto explored leaves, so the search backjumps to the node where the
 two leaves' paths split and goes on with that node's next member.  Every
 skipped leaf repeats an explored certificate, so the least certificate and
-the first leaf that reaches it are unchanged.
+the first leaf that reaches it are unchanged.  Each leaf after the first is
+tested for an automorphism onto the first leaf before its certificate is
+built (after McKay & Piperno): one exists exactly when the two certificates
+are equal, so a certificate string is built only for the first leaf and for
+leaves that fail the test.
 
 The stored automorphisms also give the orbits of a hypergraph's edges
 (``edge_orbits``).  Removing edges of one orbit yields isomorphic children,
@@ -121,10 +125,22 @@ def _refine(
             members = cells[start]
             if len(members) == 1:
                 continue
+            if len(members) == 2:
+                a, b = members
+                ka = sorted(map(col.__getitem__, adj[a]))
+                kb = sorted(map(col.__getitem__, adj[b]))
+                if ka != kb:
+                    pair = [[a], [b]] if ka < kb else [[b], [a]]
+                    splits.append((start, pair))
+                continue
             groups: dict[tuple[int, ...], list[int]] = {}
             for x in members:
-                key = tuple(sorted([col[j] for j in adj[x]]))
-                groups.setdefault(key, []).append(x)
+                key = tuple(sorted(map(col.__getitem__, adj[x])))
+                group = groups.get(key)
+                if group is None:
+                    groups[key] = [x]
+                else:
+                    group.append(x)
             if len(groups) > 1:
                 splits.append((start, [groups[k] for k in sorted(groups)]))
         changed = []
@@ -155,9 +171,12 @@ class _CanonSearch:
         self.edge_set_index: dict[int, list[int]] = {}
         for ei, m in enumerate(h.masks):
             self.edge_set_index.setdefault(m, []).append(ei)
+        self.vchars = [vertex_to_chars(v) for v in range(nv)]
         self.best: str | None = None
         self.best_vpos: list[int] | None = None
-        # cert -> (full node positions, individualized path) of its first leaf
+        # (full node positions, individualized path) of the first leaf
+        self.first: tuple[list[int], list[int]] | None = None
+        # cert -> the first leaf that has it
         self.leaves: dict[str, tuple[list[int], list[int]]] = {}
         self.autos: list[tuple[int, ...]] = []  # full node permutations
         self.auto_set: set[tuple[int, ...]] = set()
@@ -174,48 +193,62 @@ class _CanonSearch:
 
     def _leaf(self, col: list[int], fixed: list[int]) -> int | None:
         """Record a leaf; if an earlier leaf has its certificate and yields
-        an automorphism, return the depth the search jumps back to."""
-        # discrete: a node's label is its position, and vertex nodes come
-        # first, so a vertex's label is its canonical id
-        vpos = col[: self.nv]
+        an automorphism, return the depth the search jumps back to.
+
+        A leaf is first tested against the first leaf: an automorphism
+        between them means equal certificates, so none is built."""
+        prev = self.first
+        perm = None if prev is None else self._automorphism(prev[0], col)
+        if perm is None:
+            # discrete: a node's label is its position, and vertex nodes
+            # come first, so a vertex's label is its canonical id
+            vpos = col[: self.nv]
+            cert = self._certificate(vpos)
+            prev = self.leaves.get(cert)
+            if prev is None:
+                self.leaves[cert] = (col, fixed)
+                if self.first is None:
+                    self.first = (col, fixed)
+                if self.best is None or cert < self.best:
+                    self.best = cert
+                    self.best_vpos = vpos
+                return None
+            perm = self._automorphism(prev[0], col)
+            if perm is None:
+                return None
+        if perm not in self.auto_set:
+            self.auto_set.add(perm)
+            self.autos.append(perm)
+        # the two paths split below their common prefix
+        jump = 0
+        for a, b in zip(prev[1], fixed):
+            if a != b:
+                break
+            jump += 1
+        return jump
+
+    def _certificate(self, vpos: list[int]) -> str:
+        """The MMP line of the edges relabeled by ``vpos``, sorted."""
+        chars = self.vchars
         relabeled = sorted(
             tuple(sorted([vpos[v] for v in e])) for e in self.h.edges
         )
-        cert = (
-            ",".join("".join(vertex_to_chars(v) for v in e) for e in relabeled)
-            + "."
-        )
-        jump = None
-        prev = self.leaves.get(cert)
-        if prev is None:
-            self.leaves[cert] = (col, fixed)
-        else:
-            perm = self._automorphism(prev[0], col)
-            if perm is not None:
-                if perm not in self.auto_set:
-                    self.auto_set.add(perm)
-                    self.autos.append(perm)
-                # the two paths split below their common prefix
-                jump = 0
-                for a, b in zip(prev[1], fixed):
-                    if a != b:
-                        break
-                    jump += 1
-        if self.best is None or cert < self.best:
-            self.best = cert
-            self.best_vpos = vpos
-        return jump
+        text = ",".join("".join([chars[v] for v in e]) for e in relabeled)
+        return text + "."
 
     def _automorphism(
         self, pos_a: list[int], pos_b: list[int]
     ) -> tuple[int, ...] | None:
-        """Node permutation mapping leaf B's labeling onto leaf A's.
+        """Node permutation mapping leaf B's labeling onto leaf A's, or
+        None when the two leaves' certificates differ.
 
-        The vertex part follows from equal certificates; the edge part is
-        rebuilt by matching image vertex sets so the permutation is a true
-        automorphism of the incidence structure.  Among repeated edges the
-        one at the same leaf position is preferred, so stored automorphisms
-        can swap identical edges and prune their k! orderings.
+        The vertex part maps B's labels onto A's; the edge part is rebuilt
+        by matching image vertex sets so the permutation is a true
+        automorphism of the incidence structure, and an edge whose image
+        matches no unused edge means the certificates differ.  Among
+        repeated edges the one at the same leaf position is preferred, so
+        stored automorphisms can swap identical edges and prune their k!
+        orderings.
         """
         n, nv = self.n, self.nv
         inv_a = [0] * n

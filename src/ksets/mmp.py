@@ -86,6 +86,11 @@ class Hypergraph:
     ``num_vertices`` that is not a non-negative int, an edge that is not
     iterable, or a vertex id that is not an int in ``range(num_vertices)``,
     raises ``MmpError``.
+
+    ``_from_checked(num_vertices, edges, masks)`` builds one without these
+    checks, for edges and masks taken from hypergraphs that passed them:
+    ``edges`` must be a tuple of tuples of ints in ``range(num_vertices)``
+    and ``masks`` their bitmasks in the same order.  Nothing checks this.
     """
 
     num_vertices: int
@@ -134,6 +139,18 @@ class Hypergraph:
             raise MmpError(f"edge {ei} has vertex {v} outside 0..{n - 1}")
         object.__setattr__(self, "masks", tuple(masks))
 
+    @classmethod
+    def _from_checked(
+        cls,
+        num_vertices: int,
+        edges: tuple[tuple[int, ...], ...],
+        masks: tuple[int, ...],
+    ) -> "Hypergraph":
+        """An unchecked hypergraph; see the class docstring."""
+        h = object.__new__(cls)
+        vars(h).update(num_vertices=num_vertices, edges=edges, masks=masks)
+        return h
+
     @property
     def num_edges(self) -> int:
         return len(self.edges)
@@ -152,9 +169,18 @@ class Hypergraph:
 
     def without_edge(self, index: int) -> "Hypergraph":
         """Remove one edge; vertex set unchanged (use renormalize to drop
-        orphans)."""
-        return Hypergraph(
-            self.num_vertices, self.edges[:index] + self.edges[index + 1 :]
+        orphans).  An index outside ``range(num_edges)`` raises
+        ``IndexError``."""
+        edges, masks = self.edges, self.masks
+        if not 0 <= index < len(edges):
+            raise IndexError(
+                f"edge index {index} outside 0..{len(edges) - 1} "
+                f"of {len(edges)} edges"
+            )
+        return Hypergraph._from_checked(
+            self.num_vertices,
+            edges[:index] + edges[index + 1 :],
+            masks[:index] + masks[index + 1 :],
         )
 
 
@@ -224,9 +250,17 @@ def renormalize(h: Hypergraph) -> Hypergraph:
     vertex no longer on an edge.  Idempotent."""
     remap: dict[int, int] = {}
     edges = []
+    masks = []
     for e in h.edges:
-        edges.append(tuple(remap.setdefault(v, len(remap)) for v in e))
-    return Hypergraph(len(remap), tuple(edges))
+        edge = []
+        m = 0
+        for v in e:
+            w = remap.setdefault(v, len(remap))
+            edge.append(w)
+            m |= 1 << w
+        edges.append(tuple(edge))
+        masks.append(m)
+    return Hypergraph._from_checked(len(remap), tuple(edges), tuple(masks))
 
 
 def is_connected(h: Hypergraph) -> bool:

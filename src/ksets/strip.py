@@ -195,7 +195,12 @@ def _thin(
 
 def _child(h: Hypergraph, kept: Iterable[int]) -> Hypergraph:
     """The child of ``h`` that keeps the edges at the ``kept`` indices."""
-    return Hypergraph(h.num_vertices, tuple(h.edges[i] for i in kept))
+    kept = tuple(kept)
+    return Hypergraph._from_checked(
+        h.num_vertices,
+        tuple(map(h.edges.__getitem__, kept)),
+        tuple(map(h.masks.__getitem__, kept)),
+    )
 
 
 def enumerate_subsets(h: Hypergraph, plan: StripPlan) -> Iterator[Hypergraph]:

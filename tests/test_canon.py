@@ -248,6 +248,35 @@ def test_labeling_matches_reference_on_600cell_children(h75):
         assert_matches_reference(h75.without_edge(i))
 
 
+def test_labeling_matches_reference_when_leaves_differ():
+    # leaves that map onto no earlier leaf build their own certificates;
+    # these two searches reach 2 and 38 distinct ones
+    for h in (parse_mmp("1234,5637,7314,6325."), load("38-19")):
+        search = _CanonSearch(h)
+        search.run()
+        assert len(search.leaves) >= 2
+        assert_matches_reference(h)
+
+
+def test_automorphic_leaves_build_no_certificate(h75, monkeypatch):
+    # every leaf of the 74-edge child after the first maps onto the first
+    # by an automorphism, so only the first builds a certificate string
+    calls = {"_leaf": 0, "_certificate": 0}
+    for name in calls:
+        method = getattr(_CanonSearch, name)
+
+        def counted(self, *args, name=name, method=method):
+            calls[name] += 1
+            return method(self, *args)
+
+        monkeypatch.setattr(_CanonSearch, name, counted)
+    search = _CanonSearch(h75.without_edge(0))
+    search.run()
+    assert calls["_certificate"] == 1
+    assert calls["_leaf"] > 1
+    assert len(search.leaves) == 1
+
+
 def test_corpus_canonical_forms_are_pinned():
     # SHA-256 of the corpus's canonical forms, one line each in corpus
     # order, as the full-recolouring labeling computes them

@@ -253,6 +253,14 @@ def test_non_iterable_edge_collection_is_rejected():
         Hypergraph(2, None)
 
 
+@pytest.mark.parametrize("index", [-1, 3])
+def test_without_edge_rejects_an_index_outside_the_edges(index):
+    h = parse_mmp("123,345,561.")
+    msg = rf"^edge index {index} outside 0\.\.2 of 3 edges$"
+    with pytest.raises(IndexError, match=msg):
+        h.without_edge(index)
+
+
 def _mask(edge):
     return reduce(or_, (1 << v for v in edge), 0)
 
@@ -261,25 +269,14 @@ def _masks_match(h):
     return h.masks == tuple(_mask(e) for e in h.edges)
 
 
-@given(hypergraphs(), st.integers(min_value=0, max_value=2**32))
-def test_masks_match_edges_however_built(h, seed):
+def assert_same_as_checked(h):
+    """``h`` has its edges' masks, and equals, hashes and pickles like the
+    hypergraph the checking constructor builds from its edges."""
+    checked = Hypergraph(h.num_vertices, h.edges)
     assert _masks_match(h)
-    assert _masks_match(parse_mmp(serialize_mmp(renormalize(h))))
-    assert _masks_match(renormalize(h))
-    for i in range(h.num_edges):
-        assert _masks_match(h.without_edge(i))
-    for k in (1, 2):
-        if k <= h.num_edges:
-            for child in enumerate_subsets(h, StripPlan(k=k)):
-                assert _masks_match(child)
-            for child in sample_subsets(h, k, 3, SamplerSeed(seed)):
-                assert _masks_match(child)
-    for norm in (True, False):
-        plan = StripPlan(k=1, renormalize_output=norm)
-        for child in strip_one_each([h], plan):
-            assert _masks_match(child)
-    back = pickle.loads(pickle.dumps(h))
-    assert back == h and back.masks == h.masks
+    assert h == checked
+    assert hash(h) == hash(checked)
+    assert pickle.dumps(h) == pickle.dumps(checked)
 
 
 @st.composite
@@ -292,6 +289,35 @@ def loose_hypergraphs(draw, max_edge=5, max_edges=7):
         st.lists(st.lists(vertex, max_size=max_edge), max_size=max_edges)
     )
     return Hypergraph(nv, tuple(tuple(e) for e in edges))
+
+
+@given(
+    st.one_of(hypergraphs(), loose_hypergraphs()),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_masks_match_edges_however_built(h, seed):
+    # children sliced from a checked parent skip the constructor's checks
+    assert _masks_match(h)
+    # the MMP text form holds only non-empty edges of distinct vertices
+    if h.edges and all(len(set(e)) == len(e) > 0 for e in h.edges):
+        assert _masks_match(parse_mmp(serialize_mmp(renormalize(h))))
+    assert_same_as_checked(renormalize(h))
+    for i in range(h.num_edges):
+        assert_same_as_checked(h.without_edge(i))
+    for k in (1, 2):
+        if k <= h.num_edges:
+            for norm in (True, False):
+                plan = StripPlan(k=k, renormalize_output=norm)
+                for child in enumerate_subsets(h, plan):
+                    assert_same_as_checked(child)
+            for child in sample_subsets(h, k, 3, SamplerSeed(seed)):
+                assert_same_as_checked(child)
+    for norm in (True, False):
+        plan = StripPlan(k=1, renormalize_output=norm)
+        for child in strip_one_each([h], plan):
+            assert_same_as_checked(child)
+    back = pickle.loads(pickle.dumps(h))
+    assert back == h and back.masks == h.masks
 
 
 def _bfs_connected(h):
