@@ -126,6 +126,7 @@ def _refine(
             if len(members) == 1:
                 continue
             if len(members) == 2:
+                # the key order is the sub-cell order, with no grouping
                 a, b = members
                 ka = sorted(map(col.__getitem__, adj[a]))
                 kb = sorted(map(col.__getitem__, adj[b]))
