@@ -261,8 +261,10 @@ def run_stage(
     if cfg.workers <= 1 or len(reps) < 64:
         kinds = [classify(h) for h in reps]
     else:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            chunk = max(1, len(reps) // (cfg.workers * 8))
+        # the fork context starts every worker at the first submit
+        workers = min(cfg.workers, os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, len(reps) // (workers * 8))
             kinds = list(pool.map(classify, reps, chunksize=chunk))
     ks_sets = [h for h, kind in zip(reps, kinds) if kind != COLORABLE]
     criticals = [h for h, kind in zip(reps, kinds) if kind == CRITICAL]

@@ -8,6 +8,7 @@ from ksets.coloring import (
     CRITICAL,
     KS,
     Coloring,
+    _parity_refutes,
     _rotate,
     _solve,
     _vertex_edges,
@@ -60,6 +61,9 @@ def test_solver_matches_brute_force(h):
     assert colorable == brute_force_colorable(h)
     if colorable:
         assert witness.is_valid_for(h)
+    assert _solve(h.masks, h.num_vertices) == _reference_solve(
+        h.masks, h.num_vertices
+    )
 
 
 @settings(max_examples=100, deadline=None)
@@ -96,6 +100,8 @@ def test_parity_iff_odd_edges_on_corpus():
     for name, h in load_all().items():
         expected = h.num_edges % 2 == 1
         assert has_parity_proof(h) == expected, name
+        # for a critical set, GF(2) infeasibility is the parity proof
+        assert _parity_refutes(h.masks, h.num_vertices) == expected, name
 
 
 def test_parity_requires_even_degrees():
@@ -232,3 +238,138 @@ def test_verdict_solve_count_is_bounded(h75, monkeypatch):
         assert classify(h) == CRITICAL
         assert len(calls) - before <= 2 + h.num_edges
     assert len(calls) < sum(1 + h.num_edges for h in corpus)
+
+
+def _reference_solve(edge_masks, num_vertices):
+    """Return a bitmask of 1-valued vertices, or None if non-colorable."""
+    vert_edges = _vertex_edges(edge_masks, num_vertices)
+
+    def propagate(ones: int, zeros: int, queue: list[int]):
+        while queue:
+            m = edge_masks[queue.pop()]
+            o = m & ones
+            if o:
+                if o & (o - 1):
+                    return None  # two 1s on one edge
+                fresh = m & ~o & ~zeros
+                if fresh:
+                    zeros |= fresh
+                    mm = fresh
+                    while mm:
+                        b = mm & -mm
+                        queue.extend(vert_edges[b.bit_length() - 1])
+                        mm ^= b
+            else:
+                undet = m & ~zeros
+                if undet == 0:
+                    return None  # edge entirely 0
+                if undet & (undet - 1) == 0:
+                    ones |= undet
+                    queue.extend(vert_edges[undet.bit_length() - 1])
+        return ones, zeros
+
+    def search(ones: int, zeros: int) -> int | None:
+        # branch on the edge with fewest undetermined vertices
+        branch = None
+        branch_size = None
+        for m in edge_masks:
+            if m & ones:
+                continue
+            undet = m & ~zeros
+            c = undet.bit_count()
+            if branch is None or c < branch_size:
+                branch, branch_size = undet, c
+                if c <= 2:
+                    break
+        if branch is None:
+            return ones
+        # some vertex of this edge must carry the 1: try them in order of
+        # decreasing degree, ties to the lowest vertex id
+        cands = []
+        mm = branch
+        while mm:
+            b = mm & -mm
+            v = b.bit_length() - 1
+            cands.append((-len(vert_edges[v]), v))
+            mm ^= b
+        cands.sort()
+        for _, v in cands:
+            state = propagate(ones | (1 << v), zeros, list(vert_edges[v]))
+            if state is not None:
+                result = search(*state)
+                if result is not None:
+                    return result
+        return None
+
+    state = propagate(0, 0, list(range(len(edge_masks))))
+    if state is None:
+        return None
+    return search(*state)
+
+
+@st.composite
+def mask_systems(draw):
+    """Edge masks on at most 10 vertices, some of them repeated."""
+    nv = draw(st.integers(min_value=1, max_value=10))
+    mask = st.integers(min_value=0, max_value=(1 << nv) - 1)
+    masks = draw(st.lists(mask, min_size=1, max_size=12))
+    repeats = draw(st.lists(st.sampled_from(masks), max_size=4))
+    order = draw(st.permutations(masks + repeats))
+    return tuple(order), nv
+
+
+def brute_force_solvable(masks, nv):
+    return any(
+        all((ones & m).bit_count() == 1 for m in masks) for ones in range(1 << nv)
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(mask_systems())
+def test_parity_certificate_is_sound_and_solve_matches_reference(system):
+    masks, nv = system
+    if _parity_refutes(masks, nv):
+        assert not brute_force_solvable(masks, nv)
+    assert _solve(masks, nv) == _reference_solve(masks, nv)
+
+
+def test_parity_certificate_examples_and_duplicates():
+    # three pairs on three vertices: each vertex twice, three edges
+    triangle = parse_mmp("12,13,23.")
+    assert _parity_refutes(triangle.masks, 3) and not brute_force_colorable(
+        triangle
+    )
+    # duplicate and redundant equations reduce to 0 = 0 and stop
+    assert not _parity_refutes((0b011,) * 5, 3)
+    # {0, 3} is the sum of {0, 1}, {1, 2} and {2, 3}
+    assert not _parity_refutes((0b0011, 0b0110, 0b1100, 0b1001) * 3, 4)
+    assert _parity_refutes(triangle.masks * 3, 3)
+    assert _solve(triangle.masks * 3, 3) is None
+
+
+def test_solve_matches_reference_on_corpus_and_removals():
+    for name, h in load_all().items():
+        nv = h.num_vertices
+        assert _solve(h.masks, nv) == _reference_solve(h.masks, nv), name
+        for i in range(h.num_edges):
+            masks = h.masks[:i] + h.masks[i + 1 :]
+            assert _solve(masks, nv) == _reference_solve(masks, nv), (name, i)
+
+
+@pytest.mark.parametrize("edges", [74, 71, 60, 50, 45, 40, 35])
+def test_solve_matches_reference_on_60_75_subsets(h75, edges):
+    for h in sample_subsets(h75, 75 - edges, 20, SamplerSeed(100 + edges)):
+        nv = h.num_vertices
+        assert _solve(h.masks, nv) == _reference_solve(h.masks, nv)
+
+
+def test_parity_certificate_runs_before_any_search(h75, monkeypatch):
+    import ksets.coloring
+
+    def no_search(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(ksets.coloring, "_vertex_edges", no_search)
+    assert is_ks(h75)
+    for i in range(h75.num_edges):
+        assert classify(h75.without_edge(i)) == KS

@@ -540,3 +540,40 @@ def test_results_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
     classes = {r["edges"]: r["non_isomorphic"] for r in serial[0]}
     assert classes[71] == 75 and classes[70] == 73
     assert len(serial[1]) == 10  # survivors and criticals, 74 down to 70
+
+
+@pytest.mark.parametrize("cpus", [3, None])
+def test_pool_is_clamped_to_the_cpu_count(classes_at_72, monkeypatch, cpus):
+    import ksets.survey as survey
+
+    pools, chunks = [], []
+
+    class InProcessPool:
+        def __init__(self, max_workers=None):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            chunks.append(chunksize)
+            return map(fn, *iterables)
+
+    serial = run_stage(classes_at_72, SurveyConfig(increment=1), 71)
+    monkeypatch.setattr(survey, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(survey.os, "cpu_count", lambda: cpus)
+    cfg = SurveyConfig(increment=1, workers=10**6)
+    record, survivors, criticals = run_stage(classes_at_72, cfg, 71)
+    workers = cpus or 1
+    reps = record.non_isomorphic
+    assert reps >= 64
+    assert pools == [workers]
+    assert chunks == [max(1, reps // (workers * 8))]
+    assert (survivors, criticals) == serial[1:]
+    assert {**record.__dict__, "seconds": None} == {
+        **serial[0].__dict__,
+        "seconds": None,
+    }
