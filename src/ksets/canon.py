@@ -32,9 +32,9 @@ leaves that fail the test.
 
 The stored automorphisms also give the orbits of a hypergraph's edges
 (``edge_orbits``).  Removing edges of one orbit yields isomorphic children,
-so an unthinned survey stage labels only the child that strips the lowest
-edge of each orbit (McKay, "Isomorph-free exhaustive generation", 1998);
-thinned stages label every kept child.
+so a survey stage, thinned or not, labels only the first kept child of
+each edge orbit of a parent that keeps two or more children (McKay,
+"Isomorph-free exhaustive generation", 1998).
 
 The canonical representative choice is an internal convention; only the
 partition into isomorphism classes is comparable across tools.

@@ -15,7 +15,6 @@ import logging
 import os
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from math import isfinite
 from pathlib import Path
@@ -61,6 +60,9 @@ class SurveyConfig:
 
     ``increment`` is either a fixed thinning increment or None for
     auto-calibration against ``target`` from a pilot sample at each stage.
+    ``workers`` is validated but read by nothing: every stage runs in
+    process.  It stays accepted because ``perfbench/workloads.py`` and
+    existing config files set it.
     """
 
     start: Hypergraph | None = None  # None: the built 600-cell 60-75
@@ -165,6 +167,13 @@ class StageResult:
     seconds: float
 
     def __post_init__(self) -> None:
+        for name, value in self.__dict__.items():
+            if name == "seconds":
+                want, ok = "a number", isinstance(value, (int, float))
+            else:
+                want, ok = "an int >= 0", isinstance(value, int) and value >= 0
+            if isinstance(value, bool) or not ok:
+                raise ValueError(f"field {name} must be {want}, got {value!r}")
         chain = (
             self.children,
             self.connected,
@@ -223,7 +232,7 @@ def run_stage(
     inputs: Sequence[Hypergraph], cfg: SurveyConfig, edges: int
 ) -> tuple[StageResult, list[Hypergraph], list[Hypergraph]]:
     """One filter stage: returns (record, KS survivors, criticals) from
-    one classification pass over the class representatives.
+    one in-process classification pass over the class representatives.
 
     Thinning, exact-duplicate removal and the connectivity filter run over
     every child, so the stage's counts are those of labeling every kept
@@ -257,15 +266,7 @@ def run_stage(
             i = orbits[p][i]
         first_of_orbit.setdefault((p, i), h)
     reps = list(dedupe_isomorphic(first_of_orbit.values()))
-    # a process pool pays only with workers and enough representatives
-    if cfg.workers <= 1 or len(reps) < 64:
-        kinds = [classify(h) for h in reps]
-    else:
-        # the fork context starts every worker at the first submit
-        workers = min(cfg.workers, os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(reps) // (workers * 8))
-            kinds = list(pool.map(classify, reps, chunksize=chunk))
+    kinds = [classify(h) for h in reps]
     ks_sets = [h for h, kind in zip(reps, kinds) if kind != COLORABLE]
     criticals = [h for h, kind in zip(reps, kinds) if kind == CRITICAL]
     odd = sum(1 for h in criticals if h.num_edges % 2 == 1)
@@ -315,6 +316,11 @@ def run_survey(cfg: SurveyConfig) -> Iterator[StageResult]:
             if result.edges != edges:
                 raise ValueError(
                     f"{json_path}: record for {result.edges} edges"
+                )
+            if result.ks != len(survivors):
+                raise ValueError(
+                    f"{json_path}: ks {result.ks} disagrees with the "
+                    f"{len(survivors)} lines of {mmp_path.name}"
                 )
             yield result
             continue

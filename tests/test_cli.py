@@ -376,3 +376,25 @@ def test_resume_over_a_broken_stage_record_names_the_file(
     assert res.exit_code == 2
     assert f"runtime error: {path}: {problem}" in res.output
     assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize(
+    "old, new, problem",
+    [
+        ('"edges": 73', '"edges": "73"', "field edges must be an int >= 0"),
+        ('"ks": 4', '"ks": 2', "ks 2 disagrees with the 4 lines of edges-73"),
+    ],
+)
+def test_resume_refuses_a_mistyped_or_mismatched_record(
+    tmp_path, old, new, problem
+):
+    cfg = tmp_path / "exact.cfg"
+    cfg.write_text("increment = 1\nmin-edges = 73\nout = sv\n")
+    survey = ["survey", "--config", str(cfg)]
+    assert CliRunner().invoke(main, survey).exit_code == 0
+    path = tmp_path / "sv" / "edges-73.json"
+    path.write_text(path.read_text().replace(old, new))
+    res = CliRunner().invoke(main, survey)
+    assert res.exit_code == 2
+    assert f"runtime error: {path}: {problem}" in res.output
+    assert "Traceback" not in res.output

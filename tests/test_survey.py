@@ -1,4 +1,6 @@
+import json
 import logging
+from multiprocessing.process import BaseProcess
 from pathlib import Path
 
 import pytest
@@ -101,6 +103,27 @@ def test_stage_result_monotonicity():
         )
     r = StageResult(10, 1, 5, 4, 4, 3, 2, 1, 0, 0.5)
     assert StageResult.from_json(r.to_json()) == r
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("edges", "73"),
+        ("ks", True),
+        ("children", 5.5),
+        ("inputs", None),
+        ("criticals_odd", -1),
+        ("seconds", "x"),
+        ("seconds", False),
+    ],
+)
+def test_stage_record_fields_are_typed(name, value):
+    record = StageResult(73, 1, 75, 75, 75, 4, 4, 0, 0, 0.5).__dict__
+    line = json.dumps({**record, name: value})
+    want = "a number" if name == "seconds" else "an int >= 0"
+    with pytest.raises(ValueError) as err:
+        StageResult.from_json(line)
+    assert str(err.value) == f"field {name} must be {want}, got {value!r}"
 
 
 def test_calibrate_increment():
@@ -505,17 +528,12 @@ def test_min_edges_must_be_below_the_start_edge_count(tmp_path):
         parse_config("start = start.mmp\nmin-edges = 30\n", tmp_path)
 
 
+def _no_process(self):
+    raise AssertionError(f"started a process: {self!r}")
+
+
 def test_results_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
-    import ksets.survey as survey
-
-    pools = []
-
-    class CountingPool(survey.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(survey, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(BaseProcess, "start", _no_process)
 
     def run(workers):
         out = tmp_path / f"w{workers}"
@@ -531,47 +549,24 @@ def test_results_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
         return records, files
 
     serial = run(1)
-    assert pools == []
-    pooled = run(2)
-    assert pooled == serial
-    # one classification pool per stage that hands work to one
-    assert pools == [2, 2]
-    # stages 71 and 70 hand enough classes to a process pool to start one
+    assert run(2) == serial
+    assert run(10**6) == serial
+    # stages 71 and 70 keep enough classes that a per-stage process pool
+    # would have classified them
     classes = {r["edges"]: r["non_isomorphic"] for r in serial[0]}
     assert classes[71] == 75 and classes[70] == 73
     assert len(serial[1]) == 10  # survivors and criticals, 74 down to 70
 
 
-@pytest.mark.parametrize("cpus", [3, None])
-def test_pool_is_clamped_to_the_cpu_count(classes_at_72, monkeypatch, cpus):
-    import ksets.survey as survey
-
-    pools, chunks = [], []
-
-    class InProcessPool:
-        def __init__(self, max_workers=None):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables, chunksize=1):
-            chunks.append(chunksize)
-            return map(fn, *iterables)
-
+def test_stage_starts_no_process_at_any_worker_count(
+    classes_at_72, monkeypatch
+):
     serial = run_stage(classes_at_72, SurveyConfig(increment=1), 71)
-    monkeypatch.setattr(survey, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(survey.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(BaseProcess, "start", _no_process)
     cfg = SurveyConfig(increment=1, workers=10**6)
     record, survivors, criticals = run_stage(classes_at_72, cfg, 71)
-    workers = cpus or 1
-    reps = record.non_isomorphic
-    assert reps >= 64
-    assert pools == [workers]
-    assert chunks == [max(1, reps // (workers * 8))]
+    # as many classes as the removed per-stage pool needed to start
+    assert record.non_isomorphic >= 64
     assert (survivors, criticals) == serial[1:]
     assert {**record.__dict__, "seconds": None} == {
         **serial[0].__dict__,
