@@ -19,16 +19,16 @@ splits touch while the partition, cell order included, is that of a full
 recolouring of every node each round.  Individualizing a node puts it first
 in its cell and refines from its moved cell-mates only.  A branch is pruned
 when its node shares an orbit, under the automorphisms found so far that fix
-the branch's prefix, with an explored sibling.  A leaf that repeats an
-earlier leaf's certificate yields an automorphism mapping the rest of its
-branch onto explored leaves, so the search backjumps to the node where the
-two leaves' paths split and goes on with that node's next member.  Every
-skipped leaf repeats an explored certificate, so the least certificate and
-the first leaf that reaches it are unchanged.  Each leaf after the first is
-tested for an automorphism onto the first leaf before its certificate is
-built (after McKay & Piperno): one exists exactly when the two certificates
-are equal, so a certificate string is built only for the first leaf and for
-leaves that fail the test.
+the branch's prefix, with an explored sibling.  Each leaf after the first is
+tested against the first leaf only (after McKay & Piperno): an automorphism
+maps it onto the first leaf exactly when their certificates are equal.  Such
+an automorphism is stored, and it maps the rest of the leaf's branch onto
+explored leaves, so the search backjumps to the node where the two leaves'
+paths split and goes on with that node's next member.  Every skipped leaf
+repeats an explored certificate, so the least certificate and the first leaf
+that reaches it are unchanged.  A leaf that fails the test builds its
+certificate string, which competes for the least one; nothing else of it is
+kept.
 
 The stored automorphisms also give the orbits of a hypergraph's edges
 (``edge_orbits``).  Removing edges of one orbit yields isomorphic children,
@@ -177,8 +177,6 @@ class _CanonSearch:
         self.best_vpos: list[int] | None = None
         # (full node positions, individualized path) of the first leaf
         self.first: tuple[list[int], list[int]] | None = None
-        # cert -> the first leaf that has it
-        self.leaves: dict[str, tuple[list[int], list[int]]] = {}
         self.autos: list[tuple[int, ...]] = []  # full node permutations
         self.auto_set: set[tuple[int, ...]] = set()
 
@@ -193,36 +191,29 @@ class _CanonSearch:
         return self.best, self.best_vpos
 
     def _leaf(self, col: list[int], fixed: list[int]) -> int | None:
-        """Record a leaf; if an earlier leaf has its certificate and yields
-        an automorphism, return the depth the search jumps back to.
-
-        A leaf is first tested against the first leaf: an automorphism
-        between them means equal certificates, so none is built."""
-        prev = self.first
-        perm = None if prev is None else self._automorphism(prev[0], col)
+        """Record a leaf; if an automorphism maps it onto the first leaf,
+        store it and return the depth the search jumps back to.  Only a
+        leaf with no such automorphism builds its certificate, which
+        competes for the least one."""
+        first = self.first
+        perm = None if first is None else self._automorphism(first[0], col)
         if perm is None:
             # discrete: a node's label is its position, and vertex nodes
             # come first, so a vertex's label is its canonical id
             vpos = col[: self.nv]
             cert = self._certificate(vpos)
-            prev = self.leaves.get(cert)
-            if prev is None:
-                self.leaves[cert] = (col, fixed)
-                if self.first is None:
-                    self.first = (col, fixed)
-                if self.best is None or cert < self.best:
-                    self.best = cert
-                    self.best_vpos = vpos
-                return None
-            perm = self._automorphism(prev[0], col)
-            if perm is None:
-                return None
+            if first is None:
+                self.first = (col, fixed)
+            if self.best is None or cert < self.best:
+                self.best = cert
+                self.best_vpos = vpos
+            return None
         if perm not in self.auto_set:
             self.auto_set.add(perm)
             self.autos.append(perm)
         # the two paths split below their common prefix
         jump = 0
-        for a, b in zip(prev[1], fixed):
+        for a, b in zip(first[1], fixed):
             if a != b:
                 break
             jump += 1
@@ -281,11 +272,11 @@ class _CanonSearch:
         this call extends, holds the stored automorphisms that fix it
         pointwise.
 
-        A leaf whose certificate an earlier leaf has gives an automorphism
-        that fixes the two paths' common prefix and maps the new leaf's
-        branch below it onto the earlier, already explored branch.  Every
-        leaf left in the new branch repeats an explored certificate, so the
-        search backjumps: it returns the prefix length, and each node above
+        A leaf that an automorphism maps onto the first leaf gives one that
+        fixes the two paths' common prefix and maps the leaf's branch below
+        it onto the first path's, already explored branch.  Every leaf left
+        in the leaf's branch repeats an explored certificate, so the search
+        backjumps: it returns the prefix length, and each node above
         passes it on until the node at that depth goes on with its next
         member.  ``None`` means no jump.
         """
@@ -366,11 +357,11 @@ def edge_orbits(h: Hypergraph) -> list[int]:
     """For each edge, the lowest edge index in its orbit under the
     automorphism group of ``h``.
 
-    The automorphisms the labeling search stores generate the whole group
-    (each child of a first-path node is explored or pruned by a stored
-    automorphism; a backjump from below such a node lands at it or deeper,
-    since every earlier leaf lies below it), so joining the edges each of
-    them maps onto each other gives the orbits.
+    Every stored automorphism maps a leaf onto the first leaf, and they
+    generate the whole group: each child of a first-path node is explored
+    or pruned by a stored one, and a backjump from below it lands at that
+    node or deeper, where the leaf's path leaves the first path.  So
+    joining the edges each of them maps onto each other gives the orbits.
     """
     search = _CanonSearch(h)
     search.run()

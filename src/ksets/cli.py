@@ -288,7 +288,7 @@ def aggregate(infile, outfile):
             raise click.ClickException(f"{infile}:{ln}: not JSON: {exc}")
         except KeyError as exc:
             raise click.ClickException(f"{infile}:{ln}: missing field {exc}")
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise click.ClickException(f"{infile}:{ln}: {exc}")
         if r.edges in first:
             raise click.ClickException(

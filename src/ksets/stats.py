@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Mapping
+from sys import float_info
+from typing import Iterable
 
 import mpmath as mp
 
@@ -275,6 +276,18 @@ _BIG_FIELDS = ("total",)
 _REAL_FIELDS = ("unconnected", "non_isomorphic", "ks", "min_crit", "max_crit")
 
 
+def check_field(name: str, value: object, real: bool = False) -> None:
+    """Refuse a record field unless it is an int >= 0, or with ``real`` a
+    finite number; a bool is neither."""
+    if real:
+        want = "a finite number"
+        ok = isinstance(value, (int, float)) and abs(value) <= float_info.max
+    else:
+        want, ok = "an int >= 0", isinstance(value, int) and value >= 0
+    if isinstance(value, bool) or not ok:
+        raise ValueError(f"field {name} must be {want}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SurveyRecord:
     edges: int
@@ -288,6 +301,11 @@ class SurveyRecord:
     max_crit: float | None = None
 
     def __post_init__(self) -> None:
+        for f in _INT_FIELDS + _BIG_FIELDS:
+            check_field(f, getattr(self, f))
+        for f in _REAL_FIELDS:
+            if getattr(self, f) is not None:
+                check_field(f, getattr(self, f), real=True)
         if self.max_crit is not None and self.min_crit > self.max_crit:
             raise ValueError(
                 f"min_crit {self.min_crit} exceeds max_crit {self.max_crit}"
@@ -314,15 +332,31 @@ class SurveyRecord:
 
     @staticmethod
     def from_json(line: str) -> "SurveyRecord":
-        raw: Mapping = json.loads(line)
-        kwargs: dict = {}
+        """Read a ``to_json`` line: a JSON object with no unknown field and
+        ``total`` a string of digits.  A missing ``edges`` or ``total``
+        raises KeyError, a mistyped field ValueError."""
+        raw = json.loads(line)
+        if not isinstance(raw, dict):
+            raise ValueError("not a JSON object")
+        kwargs: dict = {"edges": raw["edges"], "total": raw["total"]}
+        unknown = raw.keys() - {*_INT_FIELDS, *_BIG_FIELDS, *_REAL_FIELDS}
+        if unknown:
+            raise ValueError(f"unknown fields {', '.join(sorted(unknown))}")
+        total = kwargs["total"]
+        digits = isinstance(total, str) and total.isascii() and total.isdigit()
+        if not digits:
+            raise ValueError(
+                f"field total must be a string holding an int >= 0, "
+                f"got {total!r}"
+            )
+        kwargs["total"] = int(total)
         for f in _INT_FIELDS:
             if f in raw:
-                kwargs[f] = int(raw[f])
-        for f in _BIG_FIELDS:
-            kwargs[f] = int(raw[f])
+                kwargs[f] = raw[f]
         for f in _REAL_FIELDS:
             if raw.get(f) is not None:
+                # checked before float() can take a string or a bool
+                check_field(f, raw[f], real=True)
                 kwargs[f] = float(raw[f])
         return SurveyRecord(**kwargs)
 

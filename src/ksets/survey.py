@@ -40,6 +40,7 @@ from .mmp import (
     serialize_mmp,
     write_mmp_file,
 )
+from .stats import check_field
 from .strip import SELECTION_MODES, SamplerSeed, StripPlan, one_edge_children
 
 log = logging.getLogger(__name__)
@@ -168,12 +169,7 @@ class StageResult:
 
     def __post_init__(self) -> None:
         for name, value in self.__dict__.items():
-            if name == "seconds":
-                want, ok = "a number", isinstance(value, (int, float))
-            else:
-                want, ok = "an int >= 0", isinstance(value, int) and value >= 0
-            if isinstance(value, bool) or not ok:
-                raise ValueError(f"field {name} must be {want}, got {value!r}")
+            check_field(name, value, real=name == "seconds")
         chain = (
             self.children,
             self.connected,
@@ -298,7 +294,8 @@ def run_survey(cfg: SurveyConfig) -> Iterator[StageResult]:
 
     Every stage writes its survivors, criticals, and record before the next
     begins; stages whose files already exist are loaded, not recomputed, so
-    an interrupted run resumes where it stopped.  All randomness derives
+    an interrupted run resumes where it stopped.  A loaded record must
+    agree with the line counts of its survivors and criticals.  All randomness derives
     from cfg.seed.
     """
     out = cfg.output_dir
@@ -321,6 +318,16 @@ def run_survey(cfg: SurveyConfig) -> Iterator[StageResult]:
                 raise ValueError(
                     f"{json_path}: ks {result.ks} disagrees with the "
                     f"{len(survivors)} lines of {mmp_path.name}"
+                )
+            try:
+                found = len(read_mmp_file(crit_path))
+            except OSError as exc:
+                raise ValueError(f"{crit_path}: {exc.strerror}") from exc
+            want = result.criticals_odd + result.criticals_even
+            if found != want:
+                raise ValueError(
+                    f"{crit_path}: {found} lines disagree with the {want} "
+                    f"criticals of {json_path.name}"
                 )
             yield result
             continue

@@ -22,6 +22,7 @@ from ksets.mmp import (
     renormalize,
     vertex_to_chars,
 )
+from ksets.strip import SamplerSeed, sample_subsets
 
 
 def _reference_refine(adj, colors):
@@ -248,33 +249,63 @@ def test_labeling_matches_reference_on_600cell_children(h75):
         assert_matches_reference(h75.without_edge(i))
 
 
-def test_labeling_matches_reference_when_leaves_differ():
-    # leaves that map onto no earlier leaf build their own certificates;
-    # these two searches reach 2 and 38 distinct ones
-    for h in (parse_mmp("1234,5637,7314,6325."), load("38-19")):
-        search = _CanonSearch(h)
-        search.run()
-        assert len(search.leaves) >= 2
+def _record_calls(monkeypatch, *names):
+    """Patch ``_CanonSearch`` methods to log what each call returns."""
+    results = {name: [] for name in names}
+    for name in names:
+        method = getattr(_CanonSearch, name)
+
+        def recorded(self, *args, name=name, method=method):
+            out = method(self, *args)
+            results[name].append(out)
+            return out
+
+        monkeypatch.setattr(_CanonSearch, name, recorded)
+    return results
+
+
+def test_labeling_matches_reference_when_leaves_differ(monkeypatch):
+    # leaves that no automorphism maps onto the first leaf build their own
+    # certificates; these two searches reach 2 and 38 distinct ones.  The
+    # 4-edge one builds 5: a leaf that repeats the certificate of a leaf
+    # other than the first builds it again
+    certs = _record_calls(monkeypatch, "_certificate")["_certificate"]
+    for h, built, distinct in (
+        (parse_mmp("1234,5637,7314,6325."), 5, 2),
+        (load("38-19"), 38, 38),
+    ):
+        certs.clear()
+        _CanonSearch(h).run()
+        assert (len(certs), len(set(certs))) == (built, distinct)
         assert_matches_reference(h)
 
 
 def test_automorphic_leaves_build_no_certificate(h75, monkeypatch):
     # every leaf of the 74-edge child after the first maps onto the first
     # by an automorphism, so only the first builds a certificate string
-    calls = {"_leaf": 0, "_certificate": 0}
-    for name in calls:
-        method = getattr(_CanonSearch, name)
+    calls = _record_calls(
+        monkeypatch, "_leaf", "_certificate", "_automorphism"
+    )
+    _CanonSearch(h75.without_edge(0)).run()
+    assert len(calls["_certificate"]) == 1
+    assert len(calls["_leaf"]) > 1
+    # each later leaf is tested once, against the first leaf
+    assert len(calls["_automorphism"]) == len(calls["_leaf"]) - 1
+    assert None not in calls["_automorphism"]
 
-        def counted(self, *args, name=name, method=method):
-            calls[name] += 1
-            return method(self, *args)
 
-        monkeypatch.setattr(_CanonSearch, name, counted)
-    search = _CanonSearch(h75.without_edge(0))
-    search.run()
-    assert calls["_certificate"] == 1
-    assert calls["_leaf"] > 1
-    assert len(search.leaves) == 1
+def test_served_searches_build_one_certificate(h75, monkeypatch):
+    # on the sets a survey labels (the 60-75, its one-edge children and
+    # seeded draws down to 25 edges) every leaf after the first maps onto
+    # the first leaf, so each search builds exactly one certificate
+    certs = _record_calls(monkeypatch, "_certificate")["_certificate"]
+    hs = [h75] + [h75.without_edge(i) for i in range(75)]
+    for edges in (65, 45, 25):
+        hs += sample_subsets(h75, 75 - edges, 50, SamplerSeed(edges))
+    for h in hs:
+        certs.clear()
+        _CanonSearch(h).run()
+        assert len(certs) == 1
 
 
 def test_corpus_canonical_forms_are_pinned():

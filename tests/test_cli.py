@@ -176,6 +176,35 @@ def test_aggregate_rejects_two_records_for_one_edge_count(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "field, problem",
+    [
+        ('"edges": 5.7', "field edges must be an int >= 0, got 5.7"),
+        ('"edges": true', "field edges must be an int >= 0, got True"),
+        (
+            '"criticals_odd": -3',
+            "field criticals_odd must be an int >= 0, got -3",
+        ),
+        ('"ks": true', "field ks must be a finite number, got True"),
+        ('"ks": NaN', "field ks must be a finite number, got nan"),
+        ('"bogus": 1', "unknown fields bogus"),
+        (
+            '"total": 10.9',
+            "field total must be a string holding an int >= 0, got 10.9",
+        ),
+        (
+            '"total": "-4"',
+            "field total must be a string holding an int >= 0, got '-4'",
+        ),
+    ],
+)
+def test_aggregate_rejects_mistyped_fields(tmp_path, field, problem):
+    # the later of two equal keys wins, so ``field`` overrides a valid one
+    text = '{"edges": 5, "total": "10", %s}\n' % field
+    msg = aggregate_error(tmp_path, text)
+    assert msg == f"Error: {tmp_path / 'r.jsonl'}:1: {problem}"
+
+
 def usage_error(*args):
     """Invoke expecting a usage error; returns its one-line message."""
     res = CliRunner().invoke(main, list(args))
@@ -372,6 +401,31 @@ def test_resume_over_a_broken_stage_record_names_the_file(
     if record == "edges-17":
         record = path.read_text().replace('"edges": 18', '"edges": 17')
     path.write_text(record)
+    res = CliRunner().invoke(main, survey)
+    assert res.exit_code == 2
+    assert f"runtime error: {path}: {problem}" in res.output
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize(
+    "criticals, problem",
+    [
+        (None, "No such file or directory"),
+        ("123,345,561.\n", "1 lines disagree with the 0 criticals of edges"),
+    ],
+)
+def test_resume_refuses_missing_or_mismatched_criticals(
+    tmp_path, criticals, problem
+):
+    cfg = tmp_path / "exact.cfg"
+    cfg.write_text("increment = 1\nmin-edges = 73\nout = sv\n")
+    survey = ["survey", "--config", str(cfg)]
+    assert CliRunner().invoke(main, survey).exit_code == 0
+    path = tmp_path / "sv" / "edges-73.criticals.mmp"
+    if criticals is None:
+        path.unlink()
+    else:
+        path.write_text(criticals)
     res = CliRunner().invoke(main, survey)
     assert res.exit_code == 2
     assert f"runtime error: {path}: {problem}" in res.output

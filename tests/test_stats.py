@@ -209,6 +209,15 @@ def test_survey_record_invariants():
         SurveyRecord(edges=5, total=10, min_crit=2.0, max_crit=1.0)
     with pytest.raises(ValueError):
         SurveyRecord(edges=5, total=10, criticals_odd=5, max_crit=1.0)
+    # the fields are typed as the stage records' are
+    for bad, problem in (
+        ({"total": -4}, "field total must be an int >= 0, got -4"),
+        ({"edges": True}, "field edges must be an int >= 0, got True"),
+        ({"ks": float("inf")}, "field ks must be a finite number, got inf"),
+    ):
+        with pytest.raises(ValueError) as err:
+            SurveyRecord(**{"edges": 5, "total": 10, **bad})
+        assert str(err.value) == problem
 
 
 def test_survey_aggregate_table_and_duplicates():

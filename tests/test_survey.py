@@ -115,12 +115,13 @@ def test_stage_result_monotonicity():
         ("criticals_odd", -1),
         ("seconds", "x"),
         ("seconds", False),
+        ("seconds", float("nan")),
     ],
 )
 def test_stage_record_fields_are_typed(name, value):
     record = StageResult(73, 1, 75, 75, 75, 4, 4, 0, 0, 0.5).__dict__
     line = json.dumps({**record, name: value})
-    want = "a number" if name == "seconds" else "an int >= 0"
+    want = "a finite number" if name == "seconds" else "an int >= 0"
     with pytest.raises(ValueError) as err:
         StageResult.from_json(line)
     assert str(err.value) == f"field {name} must be {want}, got {value!r}"
