@@ -13,13 +13,17 @@ its start position, after McKay, "Practical graph isomorphism" (1981), and
 McKay & Piperno, "Practical graph isomorphism, II" (2014).  Rounds are
 simultaneous: each splits the cells next to a node relabelled in the round
 before, by the sorted labels of each member's neighbours, and orders the
-sub-cells by those keys.  Start labels order cells as their ranks would, and
-a split relabels only the nodes that moved, so each round costs what its
-splits touch while the partition, cell order included, is that of a full
-recolouring of every node each round.  Individualizing a node puts it first
-in its cell and refines from its moved cell-mates only.  A branch is pruned
-when its node shares an orbit, under the automorphisms found so far that fix
-the branch's prefix, with an explored sibling.  Each leaf after the first is
+sub-cells by them.  Each node keeps those labels as one integer, a count
+of its neighbours per label with the lowest label the most significant
+digit; cell-mates have equal degree, so a larger integer is a smaller
+sorted tuple, and a relabelled node updates only its neighbours' integers.
+Start labels order cells as their ranks would, and a split relabels only
+the nodes that moved, so each round costs what its splits touch while the
+partition, cell order included, is that of a full recolouring of every
+node each round.  Individualizing a node puts it first in its cell and
+refines from its moved cell-mates only.  A branch is pruned when its node
+shares an orbit, under the automorphisms found so far that fix the
+branch's prefix, with an explored sibling.  Each leaf after the first is
 tested against the first leaf only (after McKay & Piperno): an automorphism
 maps it onto the first leaf exactly when their certificates are equal.  Such
 an automorphism is stored, and it maps the rest of the leaf's branch onto
@@ -43,9 +47,7 @@ partition into isomorphism classes is comparable across tools.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .mmp import Hypergraph, parse_mmp, vertex_to_chars
 
@@ -100,60 +102,93 @@ def _partition(colors: Sequence) -> tuple[list[int], dict[int, list[int]]]:
     return col, cells
 
 
+def _weights(adj: list[list[int]]) -> list[int]:
+    """The digit weight of each label in a node's neighbour key: label ``p``
+    weighs ``1 << bits * (n - 1 - p)``, where ``bits`` is the bit length of
+    the largest degree, so every digit counts neighbours below its base."""
+    n = len(adj)
+    bits = max(map(len, adj), default=0).bit_length()
+    return [1 << bits * (n - 1 - p) for p in range(n)]
+
+
+def _keys(adj: list[list[int]], w: list[int], col: list[int]) -> list[int]:
+    """Each node's neighbour key: the sum of its neighbours' label weights."""
+    wcol = list(map(w.__getitem__, col))
+    return [sum(map(wcol.__getitem__, ax)) for ax in adj]
+
+
 def _refine(
     adj: list[list[int]],
+    w: list[int],
     col: list[int],
     cells: dict[int, list[int]],
-    changed: Sequence[int],
+    key: list[int],
+    starts: Collection[int],
 ) -> None:
     """Refine the ordered partition ``(col, cells)`` in place to the
     coarsest equitable partition below it.
 
     Each node's label is the start position of its cell, and ``cells`` maps
-    each start to its members in node order.  Rounds are simultaneous: every
-    cell next to a node relabelled in the previous round (``changed`` seeds
-    the first) is split by its members' sorted neighbour labels, sub-cells
-    in key order, all keys read before any label moves.  The first sub-cell
-    keeps its start, so only members of later sub-cells are relabelled.  A
-    cell with no relabelled neighbour cannot split, so skipping it leaves
-    each round, and the cell order, as a full recolouring would.  Start
-    labels are ordered as cell ranks are, so the keys sort the same way.
+    each start to its members in node order.  ``key[x]`` counts the labels
+    of ``x``'s neighbours, one digit per label (``_weights``), lowest label
+    most significant.  Members of a cell have equal degree, and of two
+    sorted label tuples of equal length the lexicographically smaller has
+    more copies of the lowest label where they differ: so a larger key
+    means a smaller sorted tuple, and equal keys mean equal tuples.
+
+    Rounds are simultaneous: every cell in ``starts``, and in each later
+    round every cell next to a node relabelled in the round before, is split
+    by its members' keys, sub-cells in descending key order, all keys read
+    before any label moves.  The first sub-cell keeps its start, so only
+    members of later sub-cells are relabelled; once every split is read,
+    each relabelled node moves its neighbours' keys by the difference of
+    its two label weights.  A cell with no relabelled neighbour cannot
+    split, so skipping it leaves each round, and the cell order, as a full
+    recolouring would.  Start labels are ordered as cell ranks are, so the
+    keys sort the same way.
     """
-    while changed:
+    while starts:
         splits = []
-        for start in {col[j] for i in changed for j in adj[i]}:
+        for start in starts:
             members = cells[start]
             if len(members) == 1:
                 continue
             if len(members) == 2:
                 # the key order is the sub-cell order, with no grouping
                 a, b = members
-                ka = sorted(map(col.__getitem__, adj[a]))
-                kb = sorted(map(col.__getitem__, adj[b]))
+                ka, kb = key[a], key[b]
                 if ka != kb:
-                    pair = [[a], [b]] if ka < kb else [[b], [a]]
+                    pair = [[a], [b]] if ka > kb else [[b], [a]]
                     splits.append((start, pair))
                 continue
-            groups: dict[tuple[int, ...], list[int]] = {}
+            groups: dict[int, list[int]] = {}
             for x in members:
-                key = tuple(sorted(map(col.__getitem__, adj[x])))
-                group = groups.get(key)
+                k = key[x]
+                group = groups.get(k)
                 if group is None:
-                    groups[key] = [x]
+                    groups[k] = [x]
                 else:
                     group.append(x)
             if len(groups) > 1:
-                splits.append((start, [groups[k] for k in sorted(groups)]))
-        changed = []
+                splits.append(
+                    (start, [groups[k] for k in sorted(groups, reverse=True)])
+                )
+        moved: list[int] = []
         for start, subs in splits:
             pos = start
             for sub in subs:
                 cells[pos] = sub
                 if pos != start:
+                    # the round's splits are all read, so keys may move
+                    delta = w[pos] - w[start]
                     for x in sub:
                         col[x] = pos
-                    changed.extend(sub)
+                        for y in adj[x]:
+                            key[y] += delta
+                    moved += sub
                 pos += len(sub)
+        # the next round's cells, read only once every label has moved
+        starts = {col[y] for x in moved for y in adj[x]}
 
 
 class _CanonSearch:
@@ -169,13 +204,15 @@ class _CanonSearch:
                 adj[v].append(nv + ei)
                 adj[nv + ei].append(v)
         self.adj = adj
+        self.w = _weights(adj)
         self.edge_set_index: dict[int, list[int]] = {}
         for ei, m in enumerate(h.masks):
             self.edge_set_index.setdefault(m, []).append(ei)
         self.vchars = [vertex_to_chars(v) for v in range(nv)]
         self.best: str | None = None
         self.best_vpos: list[int] | None = None
-        # (full node positions, individualized path) of the first leaf
+        # the node at each position of the first leaf, and its
+        # individualized path
         self.first: tuple[list[int], list[int]] | None = None
         self.autos: list[tuple[int, ...]] = []  # full node permutations
         self.auto_set: set[tuple[int, ...]] = set()
@@ -185,8 +222,9 @@ class _CanonSearch:
             (1, len(e)) for e in self.h.edges
         ]
         col, cells = _partition(init)
-        _refine(self.adj, col, cells, range(self.n))
-        self._search(col, cells, [], [])
+        key = _keys(self.adj, self.w, col)
+        _refine(self.adj, self.w, col, cells, key, list(cells))
+        self._search(col, cells, key, [], [])
         assert self.best is not None and self.best_vpos is not None
         return self.best, self.best_vpos
 
@@ -203,7 +241,8 @@ class _CanonSearch:
             vpos = col[: self.nv]
             cert = self._certificate(vpos)
             if first is None:
-                self.first = (col, fixed)
+                at = sorted(range(self.n), key=col.__getitem__)
+                self.first = (at, fixed)
             if self.best is None or cert < self.best:
                 self.best = cert
                 self.best_vpos = vpos
@@ -229,34 +268,34 @@ class _CanonSearch:
         return text + "."
 
     def _automorphism(
-        self, pos_a: list[int], pos_b: list[int]
+        self, at_a: list[int], pos_b: list[int]
     ) -> tuple[int, ...] | None:
         """Node permutation mapping leaf B's labeling onto leaf A's, or
-        None when the two leaves' certificates differ.
+        None when the two leaves' certificates differ.  ``at_a`` is leaf
+        A's node at each position, inverted once per search since every
+        leaf is tested against the first.
 
         The vertex part maps B's labels onto A's; the edge part is rebuilt
-        by matching image vertex sets so the permutation is a true
-        automorphism of the incidence structure, and an edge whose image
-        matches no unused edge means the certificates differ.  Among
-        repeated edges the one at the same leaf position is preferred, so
-        stored automorphisms can swap identical edges and prune their k!
-        orderings.
+        by matching image vertex sets, each the sum of its vertices' image
+        bits, so the permutation is a true automorphism of the incidence
+        structure, and an edge whose image matches no unused edge means
+        the certificates differ.  Among repeated edges the one at the same
+        leaf position is preferred, so stored automorphisms can swap
+        identical edges and prune their k! orderings.
         """
-        n, nv = self.n, self.nv
-        inv_a = [0] * n
-        for node in range(n):
-            inv_a[pos_a[node]] = node
-        perm = [inv_a[pos_b[node]] for node in range(n)]
+        nv = self.nv
+        perm = list(map(at_a.__getitem__, pos_b))
+        vbit = [1 << p for p in perm[:nv]]
+        index = self.edge_set_index
         used: set[int] = set()
         for ei, e in enumerate(self.h.edges):
-            image = reduce(or_, (1 << perm[v] for v in e), 0)
-            cands = [
-                c for c in self.edge_set_index.get(image, ()) if c not in used
-            ]
-            if not cands:
-                return None
-            same = perm[nv + ei] - nv
-            pick = same if same in cands else cands[0]
+            cands = index.get(sum(map(vbit.__getitem__, e)), ())
+            pick = perm[nv + ei] - nv
+            if pick not in cands or pick in used:
+                free = [c for c in cands if c not in used]
+                if not free:
+                    return None
+                pick = free[0]
             used.add(pick)
             perm[nv + ei] = nv + pick
         return tuple(perm)
@@ -265,6 +304,7 @@ class _CanonSearch:
         self,
         col: list[int],
         cells: dict[int, list[int]],
+        key: list[int],
         fixed: list[int],
         gens: list[tuple[int, ...]],
     ) -> int | None:
@@ -302,10 +342,13 @@ class _CanonSearch:
             if any(orbit[e] is orbit[node] for e in explored):
                 continue
             explored.append(node)
-            col2, cells2 = _individualize(self.adj, col, cells, node)
+            col2, cells2, key2 = _individualize(
+                self.adj, self.w, col, cells, key, node
+            )
             jump = self._search(
                 col2,
                 cells2,
+                key2,
                 fixed + [node],
                 [auto for auto in gens if auto[node] == node],
             )
@@ -316,12 +359,16 @@ class _CanonSearch:
 
 def _individualize(
     adj: list[list[int]],
+    w: list[int],
     col: list[int],
     cells: dict[int, list[int]],
+    key: list[int],
     node: int,
-) -> tuple[list[int], dict[int, list[int]]]:
-    """A refined copy of an equitable partition with ``node`` put first in
-    its cell; only its moved cell-mates seed the refinement."""
+) -> tuple[list[int], dict[int, list[int]], list[int]]:
+    """A refined copy of an equitable partition, with its neighbour keys,
+    with ``node`` put first in its cell.  Its moved cell-mates move their
+    neighbours' keys from weight ``start`` to ``start + 1``, and the cells
+    of those neighbours seed the refinement."""
     start = col[node]
     rest = [x for x in cells[start] if x != node]
     col2 = list(col)
@@ -330,8 +377,14 @@ def _individualize(
     cells2 = dict(cells)
     cells2[start] = [node]
     cells2[start + 1] = rest
-    _refine(adj, col2, cells2, rest)
-    return col2, cells2
+    key2 = list(key)
+    delta = w[start + 1] - w[start]
+    for x in rest:
+        for y in adj[x]:
+            key2[y] += delta
+    starts = {col2[y] for x in rest for y in adj[x]}
+    _refine(adj, w, col2, cells2, key2, starts)
+    return col2, cells2, key2
 
 
 def _merge_orbits(
@@ -400,7 +453,7 @@ def are_isomorphic(h1: Hypergraph, h2: Hypergraph) -> IsoMapping | None:
     edge_map: dict[int, int] = {}
     used: set[int] = set()
     for ei, e in enumerate(h1.edges):
-        image = reduce(or_, (1 << vertex_map[v] for v in e), 0)
+        image = sum(1 << vertex_map[v] for v in e)
         cands = [c for c in masks2.get(image, ()) if c not in used]
         if not cands:
             return None

@@ -5,10 +5,13 @@ from itertools import permutations
 from hypothesis import given, settings, strategies as st
 
 from ksets.canon import (
+    CanonicalForm,
     _CanonSearch,
     _individualize,
+    _keys,
     _partition,
     _refine,
+    _weights,
     are_isomorphic,
     canonical_form,
     canonical_labeling,
@@ -17,6 +20,7 @@ from ksets.canon import (
 )
 from ksets.corpus import CORPUS_LINES, load
 from ksets.mmp import (
+    Hypergraph,
     hypergraph_from_edges,
     parse_mmp,
     renormalize,
@@ -207,18 +211,20 @@ def corpus_fragments(draw):
     )
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.one_of(small_hypergraphs(), corpus_fragments()))
-def test_refinement_matches_reference(h):
-    # the same ordered partitions, cell order included, after the initial
-    # refinement and after individualizing each node of the target cell at
-    # every level down one branch of the search tree
+def assert_refinement_matches_reference(h):
+    """The same ordered partitions, cell order included, after the initial
+    refinement and after individualizing each node of the target cell at
+    every level down one branch of the search tree; and neighbour keys that
+    match the labels they were updated from."""
     ref = _ReferenceSearch(h)
     adj, init = ref.adj, ref.initial_colors()
+    w = _weights(adj)
     ref_col, _ = _reference_refine(adj, init)
     col, cells = _partition(init)
-    _refine(adj, col, cells, range(len(adj)))
+    key = _keys(adj, w, col)
+    _refine(adj, w, col, cells, key, list(cells))
     assert (col, cells) == _partition(ref_col)
+    assert key == _keys(adj, w, col)
     while len(cells) < len(adj):
         target = min(s for s, mem in cells.items() if len(mem) > 1)
         for node in cells[target]:
@@ -226,9 +232,68 @@ def test_refinement_matches_reference(h):
                 (c, 0 if i == node else 1) for i, c in enumerate(ref_col)
             ]
             ref_next, _ = _reference_refine(adj, marked)
-            fast_next = _individualize(adj, col, cells, node)
-            assert fast_next == _partition(ref_next)
-        ref_col, (col, cells) = ref_next, fast_next
+            col2, cells2, key2 = _individualize(adj, w, col, cells, key, node)
+            assert (col2, cells2) == _partition(ref_next)
+            assert key2 == _keys(adj, w, col2)
+        ref_col, col, cells, key = ref_next, col2, cells2, key2
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(small_hypergraphs(), corpus_fragments()))
+def test_refinement_matches_reference(h):
+    assert_refinement_matches_reference(h)
+
+
+def hubs(d, seed):
+    """Two vertices on ``d`` edges each, whose other two vertices are drawn
+    from ``2 d`` more, and a third vertex on ``d`` edges of its own."""
+    rng = random.Random(seed)
+    edges = []
+    for hub in (0, 1):
+        pairs = set()
+        while len(pairs) < d:
+            pairs.add(tuple(sorted(rng.sample(range(3, 3 + 2 * d), 2))))
+        edges += [(hub, a, b) for a, b in sorted(pairs)]
+    start = 3 + 2 * d
+    edges += [(2, start + 2 * i, start + 2 * i + 1) for i in range(d)]
+    return renormalize(hypergraph_from_edges(edges))
+
+
+def test_neighbour_keys_order_as_sorted_label_tuples():
+    # of two nodes of equal degree, the larger key has the smaller sorted
+    # tuple of neighbour labels, and equal keys have equal tuples.  A key
+    # digit is 3 bits wide up to degree 7, 4 up to 15 and 5 up to 31; the
+    # probes fill one digit to the degree and set one label's count against
+    # a full digit of the label after it
+    rng = random.Random(15)
+    for d in (7, 8, 9, 15, 16, 17):
+        n = 2 * d
+        probes = [[1] * d, [0] + [n - 1] * (d - 1), [0] * d, [n - 1] * d]
+        probes += [sorted(rng.choices(range(4), k=d)) for _ in range(20)]
+        probes += [sorted(rng.choices(range(n), k=d)) for _ in range(20)]
+        # node i has label i; the probes are the only nodes with neighbours
+        adj = probes + [[] for _ in range(n)]
+        w = _weights(adj)
+        key = _keys(adj, w, list(range(len(adj))))
+        for i, a in enumerate(probes):
+            for j, b in enumerate(probes):
+                assert (key[i] > key[j]) == (a < b)
+                assert (key[i] == key[j]) == (a == b)
+
+
+def test_refinement_at_the_key_digit_boundary():
+    # the same partitions as the reference when the largest degree is 7,
+    # 8, 9, 15, 16 or 17, where the key digit widens, and labelings that
+    # ignore vertex names and edge order
+    rng = random.Random(15)
+    for d in (7, 8, 9, 15, 16, 17):
+        for seed in range(3):
+            h = hubs(d, seed)
+            assert max(map(len, _CanonSearch(h).adj)) == d
+            assert_refinement_matches_reference(h)
+            c = canonical_form(h)
+            for _ in range(2):
+                assert canonical_form(relabeled(h, rng)) == c
 
 
 @settings(max_examples=150, deadline=None)
@@ -294,15 +359,20 @@ def test_automorphic_leaves_build_no_certificate(h75, monkeypatch):
     assert None not in calls["_automorphism"]
 
 
-def test_served_searches_build_one_certificate(h75, monkeypatch):
-    # on the sets a survey labels (the 60-75, its one-edge children and
-    # seeded draws down to 25 edges) every leaf after the first maps onto
-    # the first leaf, so each search builds exactly one certificate
-    certs = _record_calls(monkeypatch, "_certificate")["_certificate"]
+def served_sets(h75):
+    """Sets a survey labels: the 60-75, its one-edge children and seeded
+    draws at 65, 45 and 25 edges."""
     hs = [h75] + [h75.without_edge(i) for i in range(75)]
     for edges in (65, 45, 25):
         hs += sample_subsets(h75, 75 - edges, 50, SamplerSeed(edges))
-    for h in hs:
+    return hs
+
+
+def test_served_searches_build_one_certificate(h75, monkeypatch):
+    # on the sets a survey labels every leaf after the first maps onto the
+    # first leaf, so each search builds exactly one certificate
+    certs = _record_calls(monkeypatch, "_certificate")["_certificate"]
+    for h in served_sets(h75):
         certs.clear()
         _CanonSearch(h).run()
         assert len(certs) == 1
@@ -317,6 +387,24 @@ def test_corpus_canonical_forms_are_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "0dea7b5ce9dd425fc372205fc5107df4eb3a686147944c699a1879d5c8ee09b9"
     )
+
+
+def test_served_labelings_are_pinned(h75):
+    # SHA-256 of the form text and vertex relabeling of each served set,
+    # one line each, as the tuple-key refinement computed them
+    text = "".join(
+        form.text + " " + " ".join(map(str, vpos)) + "\n"
+        for form, vpos in map(canonical_labeling, served_sets(h75))
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "d89371d6dee3f8cd070954cdf5e8f5e00b78ef56c7d97ff7d7fcb7b5246f29e9"
+    )
+
+
+def test_empty_hypergraph():
+    h = Hypergraph(0, ())
+    assert canonical_labeling(h) == (CanonicalForm("."), [])
+    assert edge_orbits(h) == []
 
 
 @settings(max_examples=150, deadline=None)
