@@ -47,13 +47,11 @@ from .mmp import (
 from .stats import (
     ConfidenceInterval,
     CouponEstimate,
-    SurveyRecord,
     binomial,
     confidence_bounds,
     coupon_mle,
     reg_inc_beta,
     reg_inc_beta_inv,
-    survey_aggregate,
 )
 from .strip import (
     SamplerSeed,
@@ -66,12 +64,11 @@ from .strip import (
     strip_one_each,
 )
 from .survey import (
-    CriticalFinding,
     StageResult,
     SurveyConfig,
     calibrate_increment,
-    find_criticals,
     run_survey,
+    survey_aggregate,
 )
 
 __version__ = "0.1.0"

@@ -28,13 +28,20 @@ from .mmp import (
 from .stats import (
     DEFAULT_DIGITS,
     MIN_DIGITS,
-    SurveyRecord,
     confidence_bounds,
     coupon_mle,
-    survey_aggregate,
 )
 from .strip import SamplerSeed, StripPlan, enumerate_subsets
-from .survey import ConfigError, parse_config, run_survey
+from .survey import (
+    ConfigError,
+    StageResult,
+    parse_config,
+    run_survey,
+    survey_aggregate,
+)
+
+# an input that names a directory is a usage error, not a traceback
+_IN_FILE = click.Path(exists=True, dir_okay=False)
 
 
 def _read(path: str) -> list[Hypergraph]:
@@ -60,7 +67,7 @@ def main() -> None:
 
 
 @main.command()
-@click.option("--in", "infile", required=True, type=click.Path(exists=True))
+@click.option("--in", "infile", required=True, type=_IN_FILE)
 @click.option("--k", required=True, type=click.IntRange(min=0),
               help="Edges to remove.")
 @click.option("--window", default=None, help="Colex rank window A:B.")
@@ -119,7 +126,7 @@ def strip(infile, k, window, increment, randomized, seed, connected_only,
 
 
 @main.command()
-@click.option("--in", "infile", required=True, type=click.Path(exists=True))
+@click.option("--in", "infile", required=True, type=_IN_FILE)
 @click.option("--out", "outfile", required=True, type=click.Path())
 @click.option("--mapping", is_flag=True,
               help="Also print each input's vertex relabeling.")
@@ -140,7 +147,7 @@ def canon(infile, outfile, mapping):
 
 
 @main.command()
-@click.option("--in", "infile", required=True, type=click.Path(exists=True))
+@click.option("--in", "infile", required=True, type=_IN_FILE)
 @click.option("--out-colorable", required=True, type=click.Path())
 @click.option("--out-ks", required=True, type=click.Path())
 @click.option("--witness", is_flag=True,
@@ -166,7 +173,7 @@ def color(infile, out_colorable, out_ks, witness):
 
 
 @main.command()
-@click.option("--in", "infile", required=True, type=click.Path(exists=True))
+@click.option("--in", "infile", required=True, type=_IN_FILE)
 @click.option("--out", "outfile", required=True, type=click.Path())
 def critical(infile, outfile):
     """Keep only the critical KS sets."""
@@ -176,7 +183,7 @@ def critical(infile, outfile):
 
 
 @main.command()
-@click.option("--in", "infile", required=True, type=click.Path(exists=True))
+@click.option("--in", "infile", required=True, type=_IN_FILE)
 @click.option("--all-max", is_flag=True,
               help="Enumerate every maximal-size loop arrangement.")
 @click.option("--draw", "draw_dir", default=None, type=click.Path(),
@@ -273,21 +280,19 @@ def bounds(k, n, m, level, digits):
 
 
 @stats.command()
-@click.option("--in", "infile", required=True, type=click.Path(exists=True))
+@click.option("--in", "infile", required=True, type=_IN_FILE)
 @click.option("--out", "outfile", required=True, type=click.Path())
 def aggregate(infile, outfile):
-    """Tabulate per-edge-count survey records (JSONL in, table out)."""
-    records: list[SurveyRecord] = []
+    """Tabulate survey stage records (JSONL in, table out), for example
+    the concatenated edges-NN.json files of a survey."""
+    records: list[StageResult] = []
     first: dict[int, int] = {}  # edge count -> line of its record
-    for ln, line in enumerate(Path(infile).read_text().splitlines(), start=1):
+    text = Path(infile).read_text(errors="surrogateescape")
+    for ln, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            r = SurveyRecord.from_json(line)
-        except json.JSONDecodeError as exc:
-            raise click.ClickException(f"{infile}:{ln}: not JSON: {exc}")
-        except KeyError as exc:
-            raise click.ClickException(f"{infile}:{ln}: missing field {exc}")
+            r = StageResult.from_json(line)
         except ValueError as exc:
             raise click.ClickException(f"{infile}:{ln}: {exc}")
         if r.edges in first:
@@ -305,13 +310,13 @@ def aggregate(infile, outfile):
 
 
 @main.command()
-@click.option("--config", "config_path", required=True,
-              type=click.Path(exists=True))
+@click.option("--config", "config_path", required=True, type=_IN_FILE)
 def survey(config_path):
     """Run the iterative stripping survey described by a config file."""
     try:
         cfg = parse_config(
-            Path(config_path).read_text(), Path(config_path).parent
+            Path(config_path).read_text(errors="surrogateescape"),
+            Path(config_path).parent,
         )
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)

@@ -358,7 +358,8 @@ def read_mmp_file(
     The first line that does not parse, or parses to a hypergraph breaking
     an MMP condition, raises ``MmpError("<file>:<line>: <problem>")``.
     """
-    with open(path) as f:
+    # an undecodable byte becomes a lone surrogate, which parse_mmp rejects
+    with open(path, errors="surrogateescape") as f:
         lines = f.read().splitlines()
     out = []
     for ln, line in enumerate(lines, start=1):

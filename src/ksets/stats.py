@@ -10,11 +10,9 @@ answers below 35 significant digits, so that floor is enforced.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import comb
 from sys import float_info
-from typing import Iterable
 
 import mpmath as mp
 
@@ -269,13 +267,6 @@ def confidence_bounds(
         return ConfidenceInterval(lower, upper, k * m / n, level)
 
 
-# One row of survey output per edge count b: how many b-edge subsets exist,
-# how many survive each estimate stage, and what was actually observed.
-_INT_FIELDS = ("edges", "criticals_odd", "criticals_even")
-_BIG_FIELDS = ("total",)
-_REAL_FIELDS = ("unconnected", "non_isomorphic", "ks", "min_crit", "max_crit")
-
-
 def check_field(name: str, value: object, real: bool = False) -> None:
     """Refuse a record field unless it is an int >= 0, or with ``real`` a
     finite number; a bool is neither."""
@@ -286,182 +277,3 @@ def check_field(name: str, value: object, real: bool = False) -> None:
         want, ok = "an int >= 0", isinstance(value, int) and value >= 0
     if isinstance(value, bool) or not ok:
         raise ValueError(f"field {name} must be {want}, got {value!r}")
-
-
-@dataclass(frozen=True)
-class SurveyRecord:
-    edges: int
-    total: int                    # exact C(75, b)
-    unconnected: float | None = None
-    non_isomorphic: float | None = None
-    ks: float | None = None
-    criticals_odd: int = 0
-    criticals_even: int = 0
-    min_crit: float = 0.0
-    max_crit: float | None = None
-
-    def __post_init__(self) -> None:
-        for f in _INT_FIELDS + _BIG_FIELDS:
-            check_field(f, getattr(self, f))
-        for f in _REAL_FIELDS:
-            if getattr(self, f) is not None:
-                check_field(f, getattr(self, f), real=True)
-        if self.max_crit is not None and self.min_crit > self.max_crit:
-            raise ValueError(
-                f"min_crit {self.min_crit} exceeds max_crit {self.max_crit}"
-            )
-        observed = self.criticals_odd + self.criticals_even
-        if self.max_crit is not None and observed > self.max_crit:
-            raise ValueError(
-                f"{observed} observed criticals exceed the estimated "
-                f"maximum {self.max_crit}"
-            )
-
-    def to_json(self) -> str:
-        """One JSON object; exact integers serialized as strings."""
-        out: dict = {}
-        for f in _INT_FIELDS:
-            out[f] = getattr(self, f)
-        for f in _BIG_FIELDS:
-            out[f] = str(getattr(self, f))
-        for f in _REAL_FIELDS:
-            v = getattr(self, f)
-            if v is not None:
-                out[f] = float(v)
-        return json.dumps(out, sort_keys=True)
-
-    @staticmethod
-    def from_json(line: str) -> "SurveyRecord":
-        """Read a ``to_json`` line: a JSON object with no unknown field and
-        ``total`` a string of digits.  A missing ``edges`` or ``total``
-        raises KeyError, a mistyped field ValueError."""
-        raw = json.loads(line)
-        if not isinstance(raw, dict):
-            raise ValueError("not a JSON object")
-        kwargs: dict = {"edges": raw["edges"], "total": raw["total"]}
-        unknown = raw.keys() - {*_INT_FIELDS, *_BIG_FIELDS, *_REAL_FIELDS}
-        if unknown:
-            raise ValueError(f"unknown fields {', '.join(sorted(unknown))}")
-        total = kwargs["total"]
-        digits = isinstance(total, str) and total.isascii() and total.isdigit()
-        if not digits:
-            raise ValueError(
-                f"field total must be a string holding an int >= 0, "
-                f"got {total!r}"
-            )
-        kwargs["total"] = int(total)
-        for f in _INT_FIELDS:
-            if f in raw:
-                kwargs[f] = raw[f]
-        for f in _REAL_FIELDS:
-            if raw.get(f) is not None:
-                # checked before float() can take a string or a bool
-                check_field(f, raw[f], real=True)
-                kwargs[f] = float(raw[f])
-        return SurveyRecord(**kwargs)
-
-
-def survey_aggregate(records: Iterable[SurveyRecord]) -> tuple[str, dict]:
-    """Render per-edge-count survey rows as a text table plus plot data.
-
-    Returns (table text, plot dict of per-series lists keyed by name).
-    Exactly one record per edge count is allowed.
-    """
-    by_edges: dict[int, SurveyRecord] = {}
-    for r in records:
-        if r.edges in by_edges:
-            raise ValueError(f"duplicate record for {r.edges} edges")
-        by_edges[r.edges] = r
-    rows = [by_edges[b] for b in sorted(by_edges)]
-
-    def cell(v) -> str:
-        if v is None:
-            return "-"
-        if isinstance(v, int):
-            return str(v)
-        return f"{v:.4g}"
-
-    header = (
-        "edges",
-        "total",
-        "unconnected",
-        "non-isomorphic",
-        "ks",
-        "crit-odd",
-        "crit-even",
-        "min-crit",
-        "max-crit",
-    )
-    lines = ["\t".join(header)]
-    for r in rows:
-        lines.append(
-            "\t".join(
-                cell(v)
-                for v in (
-                    r.edges,
-                    r.total,
-                    r.unconnected,
-                    r.non_isomorphic,
-                    r.ks,
-                    r.criticals_odd,
-                    r.criticals_even,
-                    r.min_crit,
-                    r.max_crit,
-                )
-            )
-        )
-    plot = {
-        "edges": [r.edges for r in rows],
-        "total": [float(r.total) for r in rows],
-        "non_isomorphic": [r.non_isomorphic for r in rows],
-        "ks": [r.ks for r in rows],
-        "observed_criticals": [
-            r.criticals_odd + r.criticals_even for r in rows
-        ],
-        "min_crit": [r.min_crit for r in rows],
-        "max_crit": [r.max_crit for r in rows],
-    }
-    return "\n".join(lines) + "\n", plot
-
-
-def estimate_record(
-    edges: int,
-    samples: int,
-    ks_hits: int,
-    distinct_classes: int | None = None,
-    crit_samples: int | None = None,
-    criticals_odd: int = 0,
-    criticals_even: int = 0,
-    level: float = 0.95,
-    digits: int = DEFAULT_DIGITS,
-) -> SurveyRecord:
-    """Build a SurveyRecord from raw sample counts.
-
-    The KS estimate scales the exact subset total by the sampled KS
-    proportion; critical min/max bounds treat the KS estimate as the
-    population and the criticality checks as Bernoulli trials.
-    """
-    total = binomial(75, edges)
-    ks = None
-    if samples:
-        ks = float(mp.mpf(total) * ks_hits / samples)
-    non_iso = None
-    if distinct_classes is not None:
-        est = coupon_mle(samples, distinct_classes, digits)
-        non_iso = None if est.unbounded else float(est.classes)
-    min_crit, max_crit = 0.0, None
-    if crit_samples and ks:
-        ci = confidence_bounds(
-            ks, crit_samples, criticals_odd + criticals_even, level, digits
-        )
-        min_crit, max_crit = float(ci.lower), float(ci.upper)
-    return SurveyRecord(
-        edges=edges,
-        total=total,
-        non_isomorphic=non_iso,
-        ks=ks,
-        criticals_odd=criticals_odd,
-        criticals_even=criticals_even,
-        min_crit=min_crit,
-        max_crit=max_crit,
-    )

@@ -26,11 +26,8 @@ from .coloring import (
     COLORABLE,
     CRITICAL,
     classify,
-    has_parity_proof,
-    is_critical,
     is_ks,  # noqa: F401 - unused, but the benchmark's tracer checks it
 )
-from .loops import biggest_loop
 from .mmp import (
     Hypergraph,
     LENIENT,
@@ -201,6 +198,24 @@ class StageResult:
         return StageResult(**data)
 
 
+def survey_aggregate(records: Iterable[StageResult]) -> tuple[str, dict]:
+    """Render stage records as a tab-separated table with one column per
+    field and one row per edge count, ascending, plus plot data: one list
+    per field in the same order.  Exactly one record per edge count is
+    allowed."""
+    by_edges: dict[int, StageResult] = {}
+    for r in records:
+        if r.edges in by_edges:
+            raise ValueError(f"duplicate record for {r.edges} edges")
+        by_edges[r.edges] = r
+    rows = [by_edges[b].__dict__ for b in sorted(by_edges)]
+    names = [f.name for f in fields(StageResult)]
+    lines = ["\t".join(names)]
+    lines += ["\t".join(str(r[n]) for n in names) for r in rows]
+    plot = {n: [r[n] for r in rows] for n in names}
+    return "\n".join(lines) + "\n", plot
+
+
 def calibrate_increment(sample: Sequence[Hypergraph], target: int) -> float:
     """Thinning increment so one strip+connectivity stage over the sample's
     population lands near ``target`` survivors.
@@ -365,22 +380,3 @@ def _flag_if_novel(h: Hypergraph) -> None:
             h.signature,
             serialize_mmp(h),
         )
-
-
-@dataclass(frozen=True)
-class CriticalFinding:
-    hypergraph: Hypergraph
-    parity: bool
-    loop_size: int
-
-
-def find_criticals(hs: Iterable[Hypergraph]) -> Iterator[CriticalFinding]:
-    """Criticals among the inputs, annotated and deduplicated.
-
-    Each critical survivor is emitted once per isomorphism class with its
-    parity-proof flag and maximal loop size, ready for signature tallies.
-    """
-    for h in dedupe_isomorphic(h for h in hs if is_critical(h)):
-        _flag_if_novel(h)
-        size, _ = biggest_loop(h)
-        yield CriticalFinding(h, has_parity_proof(h), size)

@@ -1,3 +1,6 @@
+import json
+from dataclasses import fields
+
 import pytest
 from click.testing import CliRunner
 
@@ -124,24 +127,15 @@ def test_stats_commands(tmp_path):
     )
     assert "upper 1.07" in res.output
 
+
+def aggregate_error(tmp_path, text):
+    """Run ``stats aggregate`` on ``text`` (str or bytes) expecting a clean
+    exit 1; returns its one-line message."""
     recs = tmp_path / "r.jsonl"
-    recs.write_text(
-        '{"edges": 74, "total": "75", "non_isomorphic": 1.0}\n'
-        '{"edges": 73, "total": "2775", "non_isomorphic": 4.0}\n'
-    )
-    table = tmp_path / "table.txt"
-    res = invoke("stats", "aggregate", "--in", str(recs), "--out", str(table))
-    assert res.exit_code == 0
-    assert table.exists()
-    assert table.with_suffix(".plot.json").exists()
-    assert "2775" in table.read_text()
-
-
-def aggregate_error(tmp_path, text, name="r.jsonl"):
-    """Run ``stats aggregate`` on ``text`` expecting a clean exit 1;
-    returns its one-line message."""
-    recs = tmp_path / name
-    recs.write_text(text)
+    if isinstance(text, bytes):
+        recs.write_bytes(text)
+    else:
+        recs.write_text(text)
     out = tmp_path / "t.txt"
     res = CliRunner().invoke(
         main, ["stats", "aggregate", "--in", str(recs), "--out", str(out)]
@@ -153,25 +147,42 @@ def aggregate_error(tmp_path, text, name="r.jsonl"):
     return lines[0]
 
 
-def test_aggregate_rejects_a_survey_stage_record(tmp_path):
-    stage = StageResult(70, 73, 73, 73, 73, 73, 73, 0, 0, 1.5)
-    msg = aggregate_error(tmp_path, stage.to_json() + "\n", "edges-70.json")
-    path = tmp_path / "edges-70.json"
-    assert msg == f"Error: {path}:1: missing field 'total'"
+def test_aggregate_tabulates_survey_stage_records(tmp_path):
+    cfg = tmp_path / "exact.cfg"
+    cfg.write_text("increment = 1\nmin-edges = 73\nout = sv\n")
+    assert invoke("survey", "--config", str(cfg)).exit_code == 0
+    stages = [tmp_path / "sv" / f"edges-{b}.json" for b in (74, 73)]
+    recs = tmp_path / "stages.jsonl"
+    recs.write_text("".join(p.read_text() for p in stages))  # cat
+    table = tmp_path / "table.txt"
+    res = invoke("stats", "aggregate", "--in", str(recs), "--out", str(table))
+    assert res.exit_code == 0
+    assert "2 records" in res.output
+    names = [f.name for f in fields(StageResult)]
+    records = [StageResult.from_json(p.read_text()) for p in reversed(stages)]
+    rows = [line.split("\t") for line in table.read_text().splitlines()]
+    assert rows == [names] + [
+        [str(getattr(r, n)) for n in names] for r in records
+    ]
+    plot = json.loads(table.with_suffix(".plot.json").read_text())
+    assert plot == {n: [getattr(r, n) for r in records] for n in names}
+    assert plot["edges"] == [73, 74] and plot["ks"] == [4, 1]
+
+
+RECORD = StageResult(70, 73, 73, 73, 73, 73, 73, 0, 0, 1.5)
 
 
 def test_aggregate_rejects_a_non_json_line(tmp_path):
-    msg = aggregate_error(tmp_path, '{"edges": 74, "total": "75"}\nedges 73\n')
+    msg = aggregate_error(tmp_path, RECORD.to_json() + "\nedges 73\n")
     assert msg.startswith(f"Error: {tmp_path / 'r.jsonl'}:2: not JSON: ")
 
 
 def test_aggregate_rejects_two_records_for_one_edge_count(tmp_path):
     msg = aggregate_error(
-        tmp_path,
-        '{"edges": 74, "total": "75"}\n\n{"edges": 74, "total": "75"}\n',
+        tmp_path, f"{RECORD.to_json()}\n\n{RECORD.to_json()}\n"
     )
     assert msg == (
-        f"Error: {tmp_path / 'r.jsonl'}:3: second record for 74 edges "
+        f"Error: {tmp_path / 'r.jsonl'}:3: second record for 70 edges "
         "(first on line 1)"
     )
 
@@ -185,23 +196,27 @@ def test_aggregate_rejects_two_records_for_one_edge_count(tmp_path):
             '"criticals_odd": -3',
             "field criticals_odd must be an int >= 0, got -3",
         ),
-        ('"ks": true', "field ks must be a finite number, got True"),
-        ('"ks": NaN', "field ks must be a finite number, got nan"),
-        ('"bogus": 1', "unknown fields bogus"),
         (
-            '"total": 10.9',
-            "field total must be a string holding an int >= 0, got 10.9",
+            '"seconds": NaN',
+            "field seconds must be a finite number, got nan",
         ),
+        ('"bogus": 1', "unknown fields bogus"),
+        ('"inputs"', "missing fields inputs"),
         (
-            '"total": "-4"',
-            "field total must be a string holding an int >= 0, got '-4'",
+            '"ks": 80',
+            "filter chain counts increased: (73, 73, 73, 73, 80)",
         ),
     ],
 )
 def test_aggregate_rejects_mistyped_fields(tmp_path, field, problem):
-    # the later of two equal keys wins, so ``field`` overrides a valid one
-    text = '{"edges": 5, "total": "10", %s}\n' % field
-    msg = aggregate_error(tmp_path, text)
+    # the later of two equal keys wins, so ``field`` overrides a valid one;
+    # a bare field name drops that field instead
+    record = RECORD.__dict__
+    if ":" in field:
+        text = RECORD.to_json()[:-1] + f", {field}}}"
+    else:
+        text = json.dumps({k: record[k] for k in record if k != field[1:-1]})
+    msg = aggregate_error(tmp_path, text + "\n")
     assert msg == f"Error: {tmp_path / 'r.jsonl'}:1: {problem}"
 
 
@@ -452,3 +467,69 @@ def test_resume_refuses_a_mistyped_or_mismatched_record(
     assert res.exit_code == 2
     assert f"runtime error: {path}: {problem}" in res.output
     assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["color", "--out-colorable", "c.mmp", "--out-ks", "k.mmp"],
+        ["canon", "--out", "o.mmp"],
+        ["critical", "--out", "o.mmp"],
+        ["strip", "--k", "1", "--out", "o.mmp"],
+        ["loops"],
+    ],
+)
+def test_undecodable_mmp_byte_names_file_and_line(
+    tmp_path, monkeypatch, command
+):
+    monkeypatch.chdir(tmp_path)
+    src = tmp_path / "in.mmp"
+    src.write_bytes(b"123,345,561.\n12\xff,23.\n")
+    res = CliRunner().invoke(main, [*command, "--in", str(src)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert f"Error: {src}:2: character " in res.output
+
+
+def test_undecodable_record_byte_names_file_and_line(tmp_path):
+    text = RECORD.to_json().encode() + b'\n{"edges\xff": 70}\n'
+    msg = aggregate_error(tmp_path, text)
+    assert msg.startswith(f"Error: {tmp_path / 'r.jsonl'}:2: ")
+
+
+def test_undecodable_config_byte_is_a_config_error(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"target = 1\xff\nout = sv\n")
+    res = CliRunner().invoke(main, ["survey", "--config", str(cfg)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.startswith("config error: ")
+    assert not (tmp_path / "sv").exists()
+
+
+def test_resume_over_an_undecodable_archive_names_the_file(tmp_path):
+    cfg = tmp_path / "exact.cfg"
+    cfg.write_text("increment = 1\nmin-edges = 73\nout = sv\n")
+    survey = ["survey", "--config", str(cfg)]
+    assert CliRunner().invoke(main, survey).exit_code == 0
+    path = tmp_path / "sv" / "edges-73.mmp"
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\xff\n", 2))
+    res = CliRunner().invoke(main, survey)
+    assert res.exit_code == 2
+    assert f"runtime error: {path}:1: " in res.output
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["color", "--out-colorable", "c.mmp", "--out-ks", "k.mmp", "--in"],
+        ["stats", "aggregate", "--out", "t.txt", "--in"],
+        ["survey", "--config"],
+    ],
+)
+def test_a_directory_input_is_a_usage_error(tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    msg = usage_error(*command, str(tmp_path))
+    assert msg.endswith(f"'{tmp_path}' is a directory.")
+    assert not any(tmp_path.iterdir())

@@ -1,4 +1,4 @@
-import json
+from dataclasses import fields
 from math import comb
 
 import mpmath as mp
@@ -9,15 +9,13 @@ from ksets.stats import (
     DEFAULT_DIGITS,
     ConvergenceError,
     PrecisionError,
-    SurveyRecord,
     binomial,
     confidence_bounds,
     coupon_mle,
-    estimate_record,
     reg_inc_beta,
     reg_inc_beta_inv,
-    survey_aggregate,
 )
+from ksets.survey import StageResult, survey_aggregate
 
 
 def test_binomial_exact():
@@ -189,62 +187,43 @@ def test_bounds_validation():
 
 
 def test_survey_record_json_round_trip():
-    r = SurveyRecord(
-        edges=35,
-        total=binomial(75, 35),
-        ks=9.0e15,
-        criticals_odd=3,
-        criticals_even=577,
-        min_crit=9.1e10,
-        max_crit=1.07e11,
+    # the stage record is the survey's one record type; its JSON text is
+    # what resumes and ``ks stats aggregate`` read, so it is pinned
+    r = StageResult(70, 75, 75, 75, 75, 73, 73, 1, 2, 0.089)
+    assert r.to_json() == (
+        '{"children": 75, "connected": 75, "criticals_even": 2, '
+        '"criticals_odd": 1, "edges": 70, "exact_unique": 75, "inputs": 75, '
+        '"ks": 73, "non_isomorphic": 73, "seconds": 0.089}'
     )
-    back = SurveyRecord.from_json(r.to_json())
-    assert back == r
-    raw = json.loads(r.to_json())
-    assert raw["total"] == str(binomial(75, 35))  # exact integer as string
+    assert StageResult.from_json(r.to_json()) == r
 
 
 def test_survey_record_invariants():
-    with pytest.raises(ValueError):
-        SurveyRecord(edges=5, total=10, min_crit=2.0, max_crit=1.0)
-    with pytest.raises(ValueError):
-        SurveyRecord(edges=5, total=10, criticals_odd=5, max_crit=1.0)
-    # the fields are typed as the stage records' are
-    for bad, problem in (
-        ({"total": -4}, "field total must be an int >= 0, got -4"),
-        ({"edges": True}, "field edges must be an int >= 0, got True"),
-        ({"ks": float("inf")}, "field ks must be a finite number, got inf"),
-    ):
-        with pytest.raises(ValueError) as err:
-            SurveyRecord(**{"edges": 5, "total": 10, **bad})
-        assert str(err.value) == problem
+    # each link of the filter chain children >= connected >= exact_unique
+    # >= non_isomorphic >= ks is checked on its own
+    for link in range(1, 5):
+        chain = [5, 5, 5, 5, 5]
+        chain[link] = 6
+        with pytest.raises(ValueError, match="filter chain counts increased"):
+            StageResult(70, 1, *chain, 0, 0, 0.5)
+    for line in ("[70]", '"edges"', "null"):
+        with pytest.raises(ValueError, match="not a JSON object"):
+            StageResult.from_json(line)
 
 
 def test_survey_aggregate_table_and_duplicates():
     rows = [
-        SurveyRecord(edges=74, total=binomial(75, 74), non_isomorphic=1.0),
-        SurveyRecord(edges=73, total=binomial(75, 73), non_isomorphic=4.0),
-        SurveyRecord(edges=75, total=1, non_isomorphic=1.0),
+        StageResult(74, 1, 75, 75, 75, 1, 1, 0, 0, 0.02),
+        StageResult(73, 1, 74, 74, 74, 4, 4, 0, 0, 0.03),
+        StageResult(72, 4, 292, 292, 292, 19, 19, 0, 0, 0.5),
     ]
     table, plot = survey_aggregate(rows)
-    lines = table.strip().splitlines()
-    assert len(lines) == 4
-    assert plot["edges"] == [73, 74, 75]
-    assert plot["non_isomorphic"] == [4.0, 1.0, 1.0]
-    with pytest.raises(ValueError):
+    lines = [line.split("\t") for line in table.splitlines()]
+    assert lines[0] == [f.name for f in fields(StageResult)]
+    assert [line[0] for line in lines[1:]] == ["72", "73", "74"]
+    assert table.splitlines()[1] == "72\t4\t292\t292\t292\t19\t19\t0\t0\t0.5"
+    assert plot["edges"] == [72, 73, 74]
+    assert plot["non_isomorphic"] == [19, 4, 1]
+    assert plot["seconds"] == [0.5, 0.03, 0.02]
+    with pytest.raises(ValueError, match="duplicate record for 74 edges"):
         survey_aggregate(rows + [rows[0]])
-
-
-def test_estimate_record_proportion():
-    # the 28-edge scale: total about 3.1e20, KS proportion from a sample
-    r = estimate_record(28, samples=10**6, ks_hits=52)
-    assert abs(r.total / 3.1e20 - 1) < 0.02
-    assert r.ks == pytest.approx(float(r.total) * 52e-6, rel=1e-12)
-
-
-def test_empty_observation_row_convention():
-    r = estimate_record(
-        30, samples=1000, ks_hits=10, crit_samples=500, criticals_odd=0
-    )
-    assert r.min_crit == 0.0
-    assert r.max_crit is not None and r.max_crit > 0

@@ -22,7 +22,6 @@ from ksets.survey import (
     StageResult,
     SurveyConfig,
     calibrate_increment,
-    find_criticals,
     parse_config,
     run_stage,
     run_survey,
@@ -176,21 +175,6 @@ def test_run_survey_writes_stage_files(tmp_path):
     assert (out / "edges-18.mmp").exists()
     assert (out / "edges-18.criticals.mmp").exists()
     assert (out / "edges-18.json").exists()
-
-
-def test_find_criticals_annotations():
-    findings = list(find_criticals([load("38-19"), load("42-24")]))
-    by_sig = {f.hypergraph.signature: f for f in findings}
-    assert by_sig["38-19"].parity is True
-    assert by_sig["42-24"].parity is False
-    assert by_sig["42-24"].loop_size == 13
-
-
-def test_find_criticals_filters_and_dedupes(h75):
-    h = load("38-19")
-    findings = list(find_criticals([h75, h, h]))
-    # 60-75 is not critical; the duplicate collapses
-    assert [f.hypergraph.signature for f in findings] == ["38-19"]
 
 
 def test_stage_classifies_each_representative_within_the_solve_bound(
@@ -436,15 +420,20 @@ def test_stage_archives_the_criticals_among_its_children():
     assert ks_sets == criticals and result.non_isomorphic > 1
 
 
-def test_novel_signature_flagging(caplog):
+def test_novel_signature_flagging(tmp_path, caplog):
     from ksets.mmp import parse_mmp
 
-    # a tiny artificial critical set far outside the known signature window
+    # a tiny artificial critical set far outside the known signature
+    # window, plus a copy of its first edge so a stage can find it
     tiny = parse_mmp("12,13,23.")
+    twin = Hypergraph(tiny.num_vertices, tiny.edges + tiny.edges[:1])
+    cfg = SurveyConfig(
+        start=twin, increment=1, min_edges=3, output_dir=tmp_path
+    )
     with caplog.at_level(logging.WARNING, logger="ksets.survey"):
-        findings = list(find_criticals([tiny]))
-    assert len(findings) == 1
+        list(run_survey(cfg))
     assert any("new kind" in rec.message for rec in caplog.records)
+    assert (tmp_path / "edges-03.criticals.mmp").read_text() == "12,32,13.\n"
 
 
 def test_torn_stage_write_resumes_cleanly(tmp_path, monkeypatch):
