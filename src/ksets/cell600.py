@@ -6,7 +6,9 @@ half-integer sign vectors, and the 96 even coordinate permutations of
 (+-tau, +-1, +-kappa, 0)/2.  Antipodal identification leaves 60 rays, and
 the maximal mutually-orthogonal 4-sets of rays form exactly 75 bases, each
 ray lying in exactly 5 of them.  Everything is computed in exact golden
-field arithmetic.
+field arithmetic.  Every coordinate lies in Z[tau]/2, so orthogonality is
+decided on doubled coordinates, as integer pairs (2a, 2b) in Z[tau]; no
+floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .mmp import Hypergraph
 
 
 class ConstructionError(RuntimeError):
-    """The construction produced inconsistent counts."""
+    """The construction produced inconsistent counts or coordinates."""
 
 
 @dataclass(frozen=True)
@@ -67,6 +69,35 @@ def _vertices_600cell() -> list[tuple[GoldenNumber, ...]]:
     return verts
 
 
+def _doubled(c: GoldenNumber) -> tuple[int, int]:
+    """(2a, 2b) for a component a + b*tau, which must lie in Z[tau]/2."""
+    a, b = 2 * c.a, 2 * c.b
+    if a.denominator != 1 or b.denominator != 1:
+        raise ConstructionError(f"component {c} is not in Z[tau]/2")
+    return a.numerator, b.numerator
+
+
+def _orthogonality(rays: list[Ray]) -> list[int]:
+    """Bit j of entry i is set iff rays i and j are orthogonal.
+
+    Decided on doubled coordinates in Z[tau]: (a + b t)(c + d t) =
+    (ac + bd) + (ad + bc + bd) t since t^2 = t + 1, and a sum of such
+    products is zero iff both integer parts are.
+    """
+    doubled = [[_doubled(c) for c in r.components] for r in rays]
+    orth = [0] * len(rays)
+    for i, u in enumerate(doubled):
+        for j in range(i + 1, len(rays)):
+            p = q = 0
+            for (a, b), (c, d) in zip(u, doubled[j]):
+                p += a * c + b * d
+                q += a * d + b * c + b * d
+            if p == 0 and q == 0:
+                orth[i] |= 1 << j
+                orth[j] |= 1 << i
+    return orth
+
+
 def build_600cell() -> RaySet600:
     """Construct the 60 rays and 75 orthogonal tetrads of the 600-cell."""
     verts = _vertices_600cell()
@@ -78,22 +109,18 @@ def build_600cell() -> RaySet600:
         raise ConstructionError(f"expected 60 rays, got {len(rays)}")
 
     n = len(rays)
-    orth = [[False] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if inner_product(rays[i], rays[j]).is_zero():
-                orth[i][j] = orth[j][i] = True
-
+    orth = _orthogonality(rays)
     bases: list[tuple[int, int, int, int]] = []
     for i in range(n):
         for j in range(i + 1, n):
-            if not orth[i][j]:
+            if not orth[i] >> j & 1:
                 continue
+            both = orth[i] & orth[j]
             for k in range(j + 1, n):
-                if not (orth[i][k] and orth[j][k]):
+                if not both >> k & 1:
                     continue
                 for l in range(k + 1, n):
-                    if orth[i][l] and orth[j][l] and orth[k][l]:
+                    if (both & orth[k]) >> l & 1:
                         bases.append((i, j, k, l))
     if len(bases) != 75:
         raise ConstructionError(f"expected 75 bases, got {len(bases)}")

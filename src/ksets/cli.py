@@ -44,6 +44,30 @@ from .survey import (
 _IN_FILE = click.Path(exists=True, dir_okay=False)
 
 
+class _OutPath(click.Path):
+    """An output file, or with ``directory`` a directory made on demand
+    with its parents.  These are usage errors, raised before any input is
+    read: an existing path of the other kind, a file in a directory that
+    does not exist, and a directory under a regular file."""
+
+    def __init__(self, directory: bool = False) -> None:
+        super().__init__(file_okay=not directory, dir_okay=directory)
+
+    def convert(self, value, param, ctx):
+        value = super().convert(value, param, ctx)
+        path = Path(value)
+        parent = path.parent
+        if self.dir_okay:  # created with its parents: check the nearest one
+            parent = next((p for p in path.parents if p.exists()), parent)
+        if not parent.is_dir():
+            why = "is not a directory" if parent.exists() else "does not exist"
+            self.fail(f"'{parent}' {why}.", param, ctx)
+        return value
+
+
+_OUT_FILE = _OutPath()
+
+
 def _read(path: str) -> list[Hypergraph]:
     """Parse leniently (the published 60-40 line needs it); an invalid line
     is a clean error naming file and line."""
@@ -79,7 +103,7 @@ def main() -> None:
 @click.option("--connected-only", is_flag=True)
 @click.option("--renormalize", "renorm", is_flag=True,
               help="Drop orphaned vertices and relabel densely.")
-@click.option("--out", "outfile", required=True, type=click.Path())
+@click.option("--out", "outfile", required=True, type=_OUT_FILE)
 def strip(infile, k, window, increment, randomized, seed, connected_only,
           renorm, outfile):
     """Emit k-edge-removal subsets of each input hypergraph."""
@@ -127,7 +151,7 @@ def strip(infile, k, window, increment, randomized, seed, connected_only,
 
 @main.command()
 @click.option("--in", "infile", required=True, type=_IN_FILE)
-@click.option("--out", "outfile", required=True, type=click.Path())
+@click.option("--out", "outfile", required=True, type=_OUT_FILE)
 @click.option("--mapping", is_flag=True,
               help="Also print each input's vertex relabeling.")
 def canon(infile, outfile, mapping):
@@ -148,8 +172,8 @@ def canon(infile, outfile, mapping):
 
 @main.command()
 @click.option("--in", "infile", required=True, type=_IN_FILE)
-@click.option("--out-colorable", required=True, type=click.Path())
-@click.option("--out-ks", required=True, type=click.Path())
+@click.option("--out-colorable", required=True, type=_OUT_FILE)
+@click.option("--out-ks", required=True, type=_OUT_FILE)
 @click.option("--witness", is_flag=True,
               help="Print each coloring's 1-valued vertices by input index.")
 def color(infile, out_colorable, out_ks, witness):
@@ -174,7 +198,7 @@ def color(infile, out_colorable, out_ks, witness):
 
 @main.command()
 @click.option("--in", "infile", required=True, type=_IN_FILE)
-@click.option("--out", "outfile", required=True, type=click.Path())
+@click.option("--out", "outfile", required=True, type=_OUT_FILE)
 def critical(infile, outfile):
     """Keep only the critical KS sets."""
     hs = _read(infile)
@@ -186,7 +210,8 @@ def critical(infile, outfile):
 @click.option("--in", "infile", required=True, type=_IN_FILE)
 @click.option("--all-max", is_flag=True,
               help="Enumerate every maximal-size loop arrangement.")
-@click.option("--draw", "draw_dir", default=None, type=click.Path(),
+@click.option("--draw", "draw_dir", default=None,
+              type=_OutPath(directory=True),
               help="Write one drawing per input into this directory.")
 @click.option("--backend", default="svg",
               type=click.Choice(["svg", "asy"]), show_default=True)
@@ -220,8 +245,8 @@ def loops(infile, all_max, draw_dir, backend, tension, curl):
 
 
 @main.command()
-@click.option("--out-mmp", required=True, type=click.Path())
-@click.option("--out-vectors", default=None, type=click.Path())
+@click.option("--out-mmp", required=True, type=_OUT_FILE)
+@click.option("--out-vectors", default=None, type=_OUT_FILE)
 def cell600(out_mmp, out_vectors):
     """Construct the 600-cell's 60-75 hypergraph (and its ray vectors)."""
     rs = build_600cell()
@@ -281,10 +306,16 @@ def bounds(k, n, m, level, digits):
 
 @stats.command()
 @click.option("--in", "infile", required=True, type=_IN_FILE)
-@click.option("--out", "outfile", required=True, type=click.Path())
+@click.option("--out", "outfile", required=True, type=_OUT_FILE)
 def aggregate(infile, outfile):
     """Tabulate survey stage records (JSONL in, table out), for example
     the concatenated edges-NN.json files of a survey."""
+    plot_path = Path(outfile).with_suffix(".plot.json")
+    if plot_path.is_dir():
+        raise click.BadParameter(
+            f"its plot file '{plot_path}' is a directory.",
+            param_hint="'--out'",
+        )
     records: list[StageResult] = []
     first: dict[int, int] = {}  # edge count -> line of its record
     text = Path(infile).read_text(errors="surrogateescape")
@@ -304,7 +335,6 @@ def aggregate(infile, outfile):
         records.append(r)
     table, plot = survey_aggregate(records)
     Path(outfile).write_text(table)
-    plot_path = Path(outfile).with_suffix(".plot.json")
     plot_path.write_text(json.dumps(plot, indent=2) + "\n")
     click.echo(f"{len(records)} records -> {outfile}, {plot_path}")
 

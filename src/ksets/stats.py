@@ -5,7 +5,9 @@ beta function.
 All non-integer work runs in arbitrary-precision decimal floating point
 (mpmath) with the working precision passed per call; the coupon inequality
 involves subtraction of almost-equal logarithms and silently gives wrong
-answers below 35 significant digits, so that floor is enforced.
+answers below 35 significant digits, so that floor is enforced.  mpmath is
+imported by the estimators themselves, on their first call, so importing
+this module (or the package) does not load it.
 """
 
 from __future__ import annotations
@@ -13,8 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 from sys import float_info
+from typing import TYPE_CHECKING
 
-import mpmath as mp
+if TYPE_CHECKING:
+    import mpmath as mp
 
 MIN_DIGITS = 35
 DEFAULT_DIGITS = 100
@@ -78,6 +82,7 @@ def coupon_mle(
     one is the maximum; binary search finds it.  Evaluated in log form at
     the requested precision.
     """
+    import mpmath as mp
     _check_digits(digits)
     n, c = samples, distinct
     if not 1 <= c <= n:
@@ -110,6 +115,7 @@ def coupon_mle(
 
 def _beta_cf(a, b, x, digits: int):
     """Continued fraction for the incomplete beta tail (Lentz iteration)."""
+    import mpmath as mp
     eps = mp.mpf(10) ** (-(digits - 5))
     tiny = mp.mpf(10) ** (-(4 * digits))
     qab, qap, qam = a + b, a + 1, a - 1
@@ -150,6 +156,7 @@ def _beta_cf(a, b, x, digits: int):
 
 def reg_inc_beta(x, a, b, digits: int = DEFAULT_DIGITS):
     """I_x(a, b), the regularized incomplete beta function."""
+    import mpmath as mp
     _check_digits(digits)
     with mp.workdps(digits):
         x = mp.mpf(x)
@@ -183,6 +190,7 @@ def reg_inc_beta_inv(p, a, b, digits: int = DEFAULT_DIGITS):
     Raises ConvergenceError (never returns a silent bad value) when the
     underlying continued fraction or the root search fails.
     """
+    import mpmath as mp
     _check_digits(digits)
     with mp.workdps(digits):
         p = mp.mpf(p)
@@ -243,6 +251,7 @@ def confidence_bounds(
     that is itself an estimate is propagated verbatim, with no extra
     uncertainty.
     """
+    import mpmath as mp
     _check_digits(digits)
     n, m = samples, hits
     if not 0 <= m <= n or n < 1:

@@ -322,7 +322,9 @@ def run_survey(cfg: SurveyConfig) -> Iterator[StageResult]:
         if mmp_path.exists() and json_path.exists():
             survivors = read_mmp_file(mmp_path)
             try:
-                result = StageResult.from_json(json_path.read_text())
+                result = StageResult.from_json(
+                    json_path.read_text(errors="surrogateescape")
+                )
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{json_path}: {exc}") from exc
             if result.edges != edges:

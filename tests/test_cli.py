@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import fields
 
@@ -23,6 +24,13 @@ def test_cell600_and_strip(tmp_path):
     assert res.exit_code == 0
     assert cell.read_text().count(",") == 74
     assert len(vecs.read_text().splitlines()) == 60
+    # serialize_mmp of the 60-75 plus its newline, and format_vectors
+    assert hashlib.sha256(cell.read_bytes()).hexdigest() == (
+        "26558554f351a2eae9ef00f42f2f85022815754301687e682e31d40b7236081b"
+    )
+    assert hashlib.sha256(vecs.read_bytes()).hexdigest() == (
+        "4f10ce0809d74825e489a6e8c63bd7905ff8de32815a32cac20ad24d43cd2761"
+    )
 
     out = tmp_path / "two.mmp"
     res = invoke(
@@ -533,3 +541,40 @@ def test_a_directory_input_is_a_usage_error(tmp_path, monkeypatch, command):
     msg = usage_error(*command, str(tmp_path))
     assert msg.endswith(f"'{tmp_path}' is a directory.")
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, problem",
+    [
+        (["cell600", "--out-mmp", "d"], "File 'd' is a directory."),
+        (["cell600", "--out-mmp", "."], "File '.' is a directory."),
+        (["cell600", "--out-mmp", "no/c.mmp"], "'no' does not exist."),
+        (["cell600", "--out-mmp", "f/c.mmp"], "'f' is not a directory."),
+        (
+            ["cell600", "--out-mmp", "c.mmp", "--out-vectors", "d"],
+            "File 'd' is a directory.",
+        ),
+        (["canon", "--in", "f", "--out", "d"], "File 'd' is a directory."),
+        (["canon", "--in", "f", "--out", "no/o.mmp"], "'no' does not exist."),
+        (["loops", "--in", "f", "--draw", "f"], "Directory 'f' is a file."),
+        (["loops", "--in", "f", "--draw", "f/x/y"], "'f' is not a directory."),
+        (
+            ["stats", "aggregate", "--in", "f", "--out", "d.txt"],
+            "its plot file 'd.plot.json' is a directory.",
+        ),
+    ],
+)
+def test_a_bad_output_path_is_a_usage_error(
+    tmp_path, monkeypatch, command, problem
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    (tmp_path / "d.plot.json").mkdir()
+    (tmp_path / "f").write_text("123,345,561.\n")
+    msg = usage_error(*command)
+    assert msg == f"Error: Invalid value for '{command[-2]}': {problem}"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "d", "d.plot.json", "f"
+    ]
+    assert not any((tmp_path / "d").iterdir())
+    assert not any((tmp_path / "d.plot.json").iterdir())

@@ -1,9 +1,14 @@
+import hashlib
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
+from ksets import cell600 as cell600_module
 from ksets.cell600 import (
+    ConstructionError,
+    _orthogonality,
     build_600cell,
     format_vectors,
     parse_vectors,
@@ -152,3 +157,41 @@ def test_build_is_deterministic(cell600):
     again = build_600cell()
     assert again.rays == cell600.rays
     assert again.bases == cell600.bases
+
+
+def test_integer_orthogonality_matches_the_golden_field(cell600):
+    orth = _orthogonality(list(cell600.rays))
+    pairs = set()
+    for i, j in combinations(range(60), 2):
+        u, v = cell600.rays[i], cell600.rays[j]
+        orthogonal = bool(orth[i] >> j & 1)
+        assert orthogonal == inner_product(u, v).is_zero()
+        assert orthogonal == bool(orth[j] >> i & 1)
+        if orthogonal:
+            pairs.add((i, j))
+    assert len(pairs) == 450
+    in_bases = {p for b in cell600.bases for p in combinations(b, 2)}
+    assert pairs == in_bases
+    assert all(not m >> i & 1 for i, m in enumerate(orth))
+
+
+def test_outputs_are_pinned(cell600, h75):
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    assert digest(format_vectors(cell600.rays)) == (
+        "4f10ce0809d74825e489a6e8c63bd7905ff8de32815a32cac20ad24d43cd2761"
+    )
+    assert digest(serialize_mmp(h75)) == (
+        "d8baf55a6a469de292ba002b6169d39a33aae4274e6ce67309685ac06433e4bb"
+    )
+
+
+def test_component_outside_half_integers_is_refused(monkeypatch):
+    third = Fraction(1, 3)
+    verts = [tuple(c.scale(third) for c in v) for v in _vertices_600cell()]
+    monkeypatch.setattr(cell600_module, "_vertices_600cell", lambda: verts)
+    # every count still holds; only the doubled coordinates are not integers
+    with pytest.raises(ConstructionError) as err:
+        build_600cell()
+    assert str(err.value) == "component -1/6+1/6t is not in Z[tau]/2"

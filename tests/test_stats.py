@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from math import comb
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ksets
 from ksets.stats import (
     DEFAULT_DIGITS,
     ConvergenceError,
@@ -36,6 +41,22 @@ def test_coupon_worked_example_with_exact_oracle(exact_drops):
     # smallest j: the inequality flips exactly at the estimate
     assert exact_drops(est.classes, 545961, 516604)
     assert not exact_drops(est.classes - 1, 545961, 516604)
+
+
+def test_mpmath_is_loaded_by_the_estimators_only():
+    code = (
+        "import sys, ksets\n"
+        "ksets.build_600cell()\n"
+        "assert 'mpmath' not in sys.modules, 'loaded at import'\n"
+        "print(ksets.coupon_mle(545961, 516604, digits=35))\n"
+        "assert 'mpmath' in sys.modules, 'not loaded by coupon_mle'\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(ksets.__file__).parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "4893025\n"
 
 
 def test_coupon_trivial_cases():

@@ -502,6 +502,18 @@ def test_resumed_archive_is_validated(tmp_path):
         list(run_survey(cfg))
 
 
+def test_resumed_record_with_an_undecodable_byte_names_its_line(tmp_path):
+    cfg = SurveyConfig(increment=1, min_edges=73, output_dir=tmp_path)
+    list(run_survey(cfg))
+    record = tmp_path / "edges-73.json"
+    record.write_bytes(record.read_bytes() + b"\xff")
+    with pytest.raises(ValueError) as err:
+        list(run_survey(cfg))
+    assert str(err.value).startswith(
+        f"{record}: not JSON: Extra data: line 2 column 1 "
+    )
+
+
 def test_min_edges_must_be_below_the_start_edge_count(tmp_path):
     h = load("38-19")
     assert SurveyConfig(start=h, min_edges=18).min_edges == 18
