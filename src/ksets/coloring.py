@@ -19,6 +19,16 @@ edge subset (Waegell and Aravind, J. Phys. A 44, 2011).  It proves almost
 every KS subset of the 60-75 with 45 edges or more, but no even-edge
 critical set.
 
+When GF(2) fails, a call whose coloring nobody sees searches in proof
+order: it branches on the edges of highest total vertex degree first, which
+fails sooner (Haralick and Elliott, Artificial Intelligence 14, 1980) and
+shrinks the search trees that prove a set KS.  ``is_ks`` returns only a
+bool, and ``classify``'s removal solves only feed model rotation, so both
+search in proof order.  ``is_colorable`` and the first solve of
+``classify`` keep index order, and a whole-set solve that finds a coloring
+in proof order is solved again in index order, so every coloring that is
+returned is the one index order finds.
+
 ``classify`` tells colorable, KS and critical sets apart from the one-edge
 removals first.  A KS removal makes the set KS and not critical after one
 solve.  Criticality asks that the edges form a minimal unsatisfiable set
@@ -104,15 +114,32 @@ def _parity_refutes(edge_masks: tuple[int, ...], num_vertices: int) -> bool:
     return False
 
 
-def _solve(edge_masks: tuple[int, ...], num_vertices: int) -> int | None:
+def _solve(
+    edge_masks: tuple[int, ...], num_vertices: int, *, proof: bool = False
+) -> int | None:
     """Return a bitmask of 1-valued vertices, or None if non-colorable.
 
     A set whose GF(2) relaxation is infeasible returns None at once; every
     other set is searched, so the result never depends on the relaxation.
+
+    The search branches on an edge with the fewest undetermined vertices,
+    the first such edge in index order.  With ``proof`` it scans the edges
+    in descending total vertex degree instead, ties to the lower index.
+    The verdict is the same; only the coloring found may differ.
     """
     if _parity_refutes(edge_masks, num_vertices):
         return None
     vert_edges = _vertex_edges(edge_masks, num_vertices)
+    scan = edge_masks
+    if proof:
+        weight = [0] * len(edge_masks)
+        for edges in vert_edges:
+            for ei in edges:
+                weight[ei] += len(edges)
+        order = sorted(
+            range(len(edge_masks)), key=weight.__getitem__, reverse=True
+        )
+        scan = tuple(edge_masks[ei] for ei in order)
 
     def propagate(ones: int, zeros: int, queue: list[int]):
         while queue:
@@ -142,7 +169,7 @@ def _solve(edge_masks: tuple[int, ...], num_vertices: int) -> int | None:
         # branch on the edge with fewest undetermined vertices
         branch = None
         branch_size = None
-        for m in edge_masks:
+        for m in scan:
             if m & ones:
                 continue
             undet = m & ~zeros
@@ -188,7 +215,7 @@ def is_colorable(h: Hypergraph) -> tuple[bool, Coloring | None]:
 
 def is_ks(h: Hypergraph) -> bool:
     """True iff h admits no 0/1 coloring (h is a KS set)."""
-    return _solve(h.masks, h.num_vertices) is None
+    return _solve(h.masks, h.num_vertices, proof=True) is None
 
 
 def is_critical(h: Hypergraph) -> bool:
@@ -221,16 +248,16 @@ def _classify(h: Hypergraph) -> tuple[int, int | None]:
     on_e0 = ones & masks[0]
     if on_e0 and not on_e0 & (on_e0 - 1):
         return COLORABLE, ones
-    whole = _solve(masks, num_vertices)
-    if whole is not None:
-        return COLORABLE, whole
+    if _solve(masks, num_vertices, proof=True) is not None:
+        # the coloring returned is the one index order finds
+        return COLORABLE, _solve(masks, num_vertices)
     vert_edges = _vertex_edges(masks, num_vertices)
     necessary: set[int] = set()
     for e in range(len(masks)):
         if e in necessary:
             continue
         if e:
-            ones = _solve(masks[:e] + masks[e + 1 :], num_vertices)
+            ones = _solve(masks[:e] + masks[e + 1 :], num_vertices, proof=True)
             if ones is None:
                 return KS, None
         _rotate(masks, vert_edges, ones, e, necessary)

@@ -19,6 +19,19 @@ plus a closing edge, cannot beat the best loop so far.  Ties never replace
 the best loop, so the witness is the first maximal loop in DFS order, as
 without the cut.  The fixed-size enumeration cuts paths whose loop cannot be
 completed within the candidates reachable from both of its ends.
+
+Both searches also bound the rest of a loop by vertex packing.  The loop
+edges still to come form an induced path, and edges of a path that are not
+consecutive share no vertex.  So k of them, each of at least ``kmin``
+vertices (the smallest edge) and each sharing at most ``smax`` with the
+next (the most that two edges share), cover at least
+k * (kmin - smax) + smax distinct vertices of the candidate edges: an edge
+mask whose edges cover c vertices holds a path of at most
+(c - smax) // (kmin - smax) edges.  The bound is off when kmin <= smax, for
+example with a repeated edge.  Each packing cut is as strict as the count
+cut next to it: it drops only branches that cannot beat the best loop, or
+cannot reach n edges, so witnesses and lists are those of the unbounded
+search, in the same order.
 """
 
 from __future__ import annotations
@@ -89,6 +102,38 @@ class _LoopSearch:
         ]
         self.hit = [a | 1 << i for i, a in enumerate(self.adj)]
         self.full = (1 << m) - 1
+        # vertex packing: an induced path of k edges covers at least
+        # k * step + smax vertices (see ``_most``)
+        kmin = min((a.bit_count() for a in h.masks), default=0)
+        smax = max((s.bit_count() for row in self.shared for s in row),
+                   default=0)
+        self.step = step = kmin - smax
+        if step > 0:
+            self.most = [
+                max(0, (c - smax) // step) for c in range(h.num_vertices + 1)
+            ]
+            # chunks[i][b]: the vertex mask of the edges 8i + j, j in b
+            masks = h.masks + (0,) * 7
+            self.chunks = []
+            for lo in range(0, m, 8):
+                table = [0] * 256
+                for b in range(1, 256):
+                    low = b & -b
+                    e = lo + low.bit_length() - 1
+                    table[b] = table[b ^ low] | masks[e]
+                self.chunks.append(table)
+
+    def _most(self, edges: int) -> int:
+        """An upper bound on the edges of an induced path inside the edge
+        mask ``edges``, from the vertices they cover; defined when
+        ``step`` > 0.  The union costs one table lookup per byte."""
+        verts = 0
+        for table in self.chunks:
+            if not edges:
+                break
+            verts |= table[edges & 255]
+            edges >>= 8
+        return self.most[verts.bit_count()]
 
     def _reach(self, src: int, allowed: int) -> int:
         r = src
@@ -152,14 +197,17 @@ class _LoopSearch:
 
         Branch and bound: later non-closing edges form a path from the
         last edge inside ``inner``, so a branch whose reachable part of
-        ``inner`` plus the closing edge cannot beat ``best`` is cut.  The
-        test is strict, so the witness is the unbounded search's.  Closing
+        ``inner`` plus the closing edge cannot beat ``best`` is cut, by
+        its edge count or by vertex packing, first on all of ``inner``
+        and then on the reachable part.  A cut branch could at best tie
+        ``best``, and a tie never replaces the witness, so the witness is
+        the unbounded search's.  Closing
         before extending keeps it too: a closure at a node and a loop
         below that node differ in size, so they never tie.
         """
         best = 0
         witness: tuple[int, ...] | None = None
-        adj = self.adj
+        adj, most, packing = self.adj, self._most, self.step > 0
 
         def visit(path, cand, inner, close):
             nonlocal best, witness
@@ -180,8 +228,12 @@ class _LoopSearch:
             done = k + (k > 1)
             if done + inner.bit_count() <= best:
                 return False
+            if packing and done + most(inner) <= best:
+                return False
             reach = self._reach(1 << last, inner) & inner
-            return done + reach.bit_count() > best
+            if done + reach.bit_count() <= best:
+                return False
+            return not packing or done + most(reach) > best
 
         self._walk(visit)
         return best, witness
@@ -228,21 +280,26 @@ class _LoopSearch:
         """All loops of exactly n edges as (edges, joints) sequences, each
         edge cycle once, from its smallest edge in the direction whose
         second edge is below its closing edge, with every joint choice.
-        A path is cut when the band of ``cand`` reachable from both its
-        ends holds too few edges to complete it."""
+        A path is cut when ``cand``, or the band of it reachable from both
+        its ends, holds too few edges to complete it, by edge count or by
+        vertex packing; a cut path has no size-n loop below it."""
         found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        adj = self.adj
+        adj, most, packing = self.adj, self._most, self.step > 0
 
         def visit(path, cand, inner, close):
             k = len(path)
             start, last = path[0], path[-1]
             if k + 1 < n:
+                if packing and k + most(cand) < n:
+                    return False
                 band = (
                     self._reach(1 << last, cand)
                     & self._reach(1 << start, cand | (1 << start))
                     & cand
                 )
-                return k + band.bit_count() >= n
+                if k + band.bit_count() < n:
+                    return False
+                return not packing or k + most(band) >= n
             x = adj[last] & close
             while x:
                 b = x & -x

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import product
 
 import pytest
@@ -193,9 +194,9 @@ def count_solves(monkeypatch):
 
     calls = []
 
-    def counting(edge_masks, num_vertices):
+    def counting(edge_masks, num_vertices, **kwargs):
         calls.append(len(edge_masks))
-        return _solve(edge_masks, num_vertices)
+        return _solve(edge_masks, num_vertices, **kwargs)
 
     monkeypatch.setattr(ksets.coloring, "_solve", counting)
     return calls
@@ -219,6 +220,53 @@ def test_classify_matches_the_removal_loop_on_60_75_subsets(
             check_rotations(h)
         kinds.add(kind)
     assert kinds <= {COLORABLE, KS}
+
+
+@pytest.fixture(scope="module")
+def gf2_free(h75):
+    """Seeded subsets of the 60-75 with 40 to 50 edges whose GF(2)
+    relaxation is feasible, so that every verdict comes from the search:
+    83 sets, 10 of them KS."""
+    return [
+        h
+        for edges in range(40, 51)
+        for h in sample_subsets(h75, 75 - edges, 40, SamplerSeed(edges))
+        if not _parity_refutes(h.masks, h.num_vertices)
+    ]
+
+
+def test_proof_order_agrees_with_the_removal_loop(gf2_free):
+    kinds = []
+    for h in gf2_free:
+        kind = check_verdict(h)
+        reference = _reference_solve(h.masks, h.num_vertices)
+        assert is_ks(h) == (kind != COLORABLE) == (reference is None)
+        kinds.append(kind)
+    assert (len(kinds), kinds.count(KS)) == (83, 10)
+
+
+def test_witnesses_on_gf2_free_subsets_are_pinned(gf2_free, monkeypatch):
+    # SHA-256 of the is_colorable and verdict witnesses as index-order
+    # search finds them, one line per set; 15 colorable sets reach the
+    # whole-set solve of classify and are solved again in index order
+    calls = count_solves(monkeypatch)
+    colorable = verdicts = ""
+    resolved = 0
+    for h in gf2_free:
+        ok, witness = is_colorable(h)
+        colorable += f"{ok} {sorted(witness.ones) if witness else None}\n"
+        calls.clear()
+        v = verdict(h)
+        resolved += v.colorable and len(calls) == 3
+        ones = sorted(v.witness.ones) if v.witness else None
+        verdicts += f"{v.colorable} {ones} {v.critical} {v.parity}\n"
+    assert resolved == 15
+    assert hashlib.sha256(colorable.encode()).hexdigest() == (
+        "1ea3e5d3955b95a26b63d3b4d69c848bc61c2dde35f0c5b6a138232e2eb64141"
+    )
+    assert hashlib.sha256(verdicts.encode()).hexdigest() == (
+        "915c9be85b4ca7857f7df82a71f476a25f89a3361dae62457725467408963991"
+    )
 
 
 def test_verdict_solve_count_is_bounded(h75, monkeypatch):
@@ -330,7 +378,12 @@ def test_parity_certificate_is_sound_and_solve_matches_reference(system):
     masks, nv = system
     if _parity_refutes(masks, nv):
         assert not brute_force_solvable(masks, nv)
-    assert _solve(masks, nv) == _reference_solve(masks, nv)
+    expected = _reference_solve(masks, nv)
+    assert _solve(masks, nv) == expected
+    # proof order keeps the verdict, with a coloring of its own
+    ones = _solve(masks, nv, proof=True)
+    assert (ones is None) == (expected is None)
+    assert ones is None or all((ones & m).bit_count() == 1 for m in masks)
 
 
 def test_parity_certificate_examples_and_duplicates():

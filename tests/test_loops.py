@@ -3,7 +3,7 @@ import random
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ksets.corpus import CORPUS_LINES, LOOP_SIZES, load
 from ksets.loops import (
@@ -357,6 +357,112 @@ def assert_matches_reference(h, sizes):
 def test_search_matches_reference(h):
     # (size, witness) and every fixed-size list, order included
     assert_matches_reference(h, lambda best: range(3, best + 2))
+
+
+@st.composite
+def packing_hypergraphs(draw, duplicate):
+    """A ring of 3 to 7 edges of 2 to 5 vertices, consecutive ones sharing
+    1 or 2 vertices (the first pair 2), then up to 4 edges that each share
+    2 or more vertices with an earlier edge and are filled up with used
+    vertices first, which adds chords and more loops.
+
+    With ``duplicate`` one edge repeats an earlier one, so some pair
+    shares a whole smallest edge and the packing bound is off (step <= 0).
+    Without, every edge has 3 to 5 vertices and no pair shares more than
+    2, so smax = 2 and step >= 1.
+    """
+    low = 2 if duplicate else 3
+    ring = draw(st.integers(min_value=3, max_value=7))
+    nv = 0
+    joints = []
+    for i in range(ring):
+        width = 2 if i == 0 else draw(st.integers(1, 2))
+        joints.append(list(range(nv, nv + width)))
+        nv += width
+    edges = []
+    for i in range(ring):
+        edge = joints[i - 1] + joints[i]
+        pad = draw(st.integers(max(low, len(edge)), 5)) - len(edge)
+        edges.append(edge + list(range(nv, nv + pad)))
+        nv += pad
+    for _ in range(draw(st.integers(0, 4))):
+        parent = draw(st.sampled_from(edges))
+        size = draw(st.integers(low, 5))
+        keep = 2 if not duplicate else draw(
+            st.integers(2, min(size, len(parent)))
+        )
+        edge = list(draw(st.permutations(parent))[:keep])
+        for v in draw(st.permutations(range(nv))) + list(range(nv, nv + 5)):
+            if len(edge) == size:
+                break
+            if v in edge:
+                continue
+            if duplicate or all(len(set(e) & {*edge, v}) <= 2 for e in edges):
+                edge.append(v)
+        nv = max(nv - 1, *edge) + 1
+        edges.append(edge)
+    if duplicate:
+        twin = draw(st.sampled_from(edges))
+        edges.insert(
+            draw(st.integers(0, len(edges))), draw(st.permutations(twin))
+        )
+    perm = draw(st.permutations(range(nv)))
+    return hypergraph_from_edges(
+        [[perm[v] for v in e] for e in draw(st.permutations(edges))], nv
+    )
+
+
+def _largest_share(h):
+    return max(
+        (a & b).bit_count()
+        for i, a in enumerate(h.masks)
+        for b in h.masks[i + 1 :]
+    )
+
+
+@pytest.mark.parametrize("duplicate", [False, True])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_packing_bound_matches_reference(duplicate, data):
+    # the (size, witness) of longest and every fixed-size list, order
+    # included, with the bound off (step <= 0) and on with smax = 2
+    h = data.draw(packing_hypergraphs(duplicate))
+    step = _LoopSearch(h).step
+    smax = _largest_share(h)
+    if duplicate:
+        assert step <= 0 and smax >= 2
+    else:
+        assert step >= 1 and smax == 2
+    assert_matches_reference(h, lambda best: range(3, best + 2))
+
+
+def _longest_induced_path(h, edges):
+    """Brute force: the most edges of a sequence of distinct edges from
+    ``edges`` in which consecutive edges meet and others are disjoint."""
+    sets = [frozenset(h.edges[e]) for e in range(h.num_edges)]
+
+    def grow(path):
+        best = len(path)
+        for e in edges:
+            if e in path or not sets[e] & sets[path[-1]]:
+                continue
+            if all(not sets[e] & sets[p] for p in path[:-1]):
+                best = max(best, grow(path + [e]))
+        return best
+
+    return max((grow([e]) for e in edges), default=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(packing_hypergraphs(False), random_hypergraphs()), st.data()
+)
+def test_no_induced_path_beats_the_packing_bound(h, data):
+    search = _LoopSearch(h)
+    assume(search.step > 0)
+    edges = data.draw(st.sets(st.integers(0, h.num_edges - 1)))
+    most = search._most(sum(1 << e for e in edges))
+    assert _longest_induced_path(h, edges) <= most
 
 
 @settings(max_examples=12, deadline=None)

@@ -191,9 +191,9 @@ def test_stage_classifies_each_representative_within_the_solve_bound(
     per_rep = []
     classify = survey.classify
 
-    def counting_solve(masks, num_vertices):
+    def counting_solve(masks, num_vertices, **kwargs):
         solves.append(len(masks))
-        return solve(masks, num_vertices)
+        return solve(masks, num_vertices, **kwargs)
 
     def recording(h):
         before = len(solves)
