@@ -25,9 +25,10 @@ fails sooner (Haralick and Elliott, Artificial Intelligence 14, 1980) and
 shrinks the search trees that prove a set KS.  ``is_ks`` returns only a
 bool, and ``classify``'s removal solves only feed model rotation, so both
 search in proof order.  ``is_colorable`` and the first solve of
-``classify`` keep index order, and a whole-set solve that finds a coloring
-in proof order is solved again in index order, so every coloring that is
-returned is the one index order finds.
+``classify`` keep index order.  ``classify`` drops a coloring that its
+whole-set solve finds in proof order, and ``verdict`` alone solves that
+set again in index order, so every coloring that is returned is the one
+index order finds.
 
 ``classify`` tells colorable, KS and critical sets apart from the one-edge
 removals first.  A KS removal makes the set KS and not critical after one
@@ -230,14 +231,16 @@ def classify(h: Hypergraph) -> int:
 
 def _classify(h: Hypergraph) -> tuple[int, int | None]:
     """The kind of h, with the mask of 1-valued vertices of a coloring
-    when it is colorable.
+    when it is colorable and one comes for free.
 
     h - e0 is solved first: if it is KS, so is h, and h is not critical.  A
     coloring of h - e0 that gives e0 exactly one 1 colors h.  Otherwise h
-    is solved itself.  When h is KS, every coloring of a removal h - e
-    fails e alone and proves e necessary, and rotating it proves more
-    edges necessary; each edge not yet proven costs one solve of its
-    removal, and the first KS removal ends the check.
+    is solved itself, in proof order, and a coloring found there is
+    dropped: it may differ from the one index order finds.  When h is KS,
+    every coloring of a removal h - e fails e alone and proves e
+    necessary, and rotating it proves more edges necessary; each edge not
+    yet proven costs one solve of its removal, and the first KS removal
+    ends the check.
     """
     masks, num_vertices = h.masks, h.num_vertices
     if not masks:
@@ -249,8 +252,7 @@ def _classify(h: Hypergraph) -> tuple[int, int | None]:
     if on_e0 and not on_e0 & (on_e0 - 1):
         return COLORABLE, ones
     if _solve(masks, num_vertices, proof=True) is not None:
-        # the coloring returned is the one index order finds
-        return COLORABLE, _solve(masks, num_vertices)
+        return COLORABLE, None
     vert_edges = _vertex_edges(masks, num_vertices)
     necessary: set[int] = set()
     for e in range(len(masks)):
@@ -326,6 +328,8 @@ def has_parity_proof(h: Hypergraph) -> bool:
 def verdict(h: Hypergraph) -> KsVerdict:
     kind, ones = _classify(h)
     colorable = kind == COLORABLE
+    if colorable and ones is None:
+        ones = _solve(h.masks, h.num_vertices)
     witness = Coloring.from_mask(ones, h.num_vertices) if colorable else None
     critical = None if colorable else kind == CRITICAL
     return KsVerdict(colorable, witness, critical, has_parity_proof(h))

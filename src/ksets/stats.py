@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from sys import float_info
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -275,14 +274,3 @@ def confidence_bounds(
         )
         return ConfidenceInterval(lower, upper, k * m / n, level)
 
-
-def check_field(name: str, value: object, real: bool = False) -> None:
-    """Refuse a record field unless it is an int >= 0, or with ``real`` a
-    finite number; a bool is neither."""
-    if real:
-        want = "a finite number"
-        ok = isinstance(value, (int, float)) and abs(value) <= float_info.max
-    else:
-        want, ok = "an int >= 0", isinstance(value, int) and value >= 0
-    if isinstance(value, bool) or not ok:
-        raise ValueError(f"field {name} must be {want}, got {value!r}")

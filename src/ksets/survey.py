@@ -18,6 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from math import isfinite
 from pathlib import Path
+from sys import float_info
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .canon import dedupe_isomorphic, edge_orbits
@@ -37,7 +38,6 @@ from .mmp import (
     serialize_mmp,
     write_mmp_file,
 )
-from .stats import check_field
 from .strip import SELECTION_MODES, SamplerSeed, StripPlan, one_edge_children
 
 log = logging.getLogger(__name__)
@@ -147,6 +147,18 @@ def parse_config(text: str, base_dir: Path | None = None) -> SurveyConfig:
             raise
         raise ConfigError(str(exc)) from exc
     return SurveyConfig(**kwargs)
+
+
+def check_field(name: str, value: object, real: bool = False) -> None:
+    """Refuse a record field unless it is an int >= 0, or with ``real`` a
+    finite number; a bool is neither."""
+    if real:
+        want = "a finite number"
+        ok = isinstance(value, (int, float)) and abs(value) <= float_info.max
+    else:
+        want, ok = "an int >= 0", isinstance(value, int) and value >= 0
+    if isinstance(value, bool) or not ok:
+        raise ValueError(f"field {name} must be {want}, got {value!r}")
 
 
 @dataclass(frozen=True)

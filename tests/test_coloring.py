@@ -269,6 +269,22 @@ def test_witnesses_on_gf2_free_subsets_are_pinned(gf2_free, monkeypatch):
     )
 
 
+def test_classify_solves_a_colorable_set_twice(gf2_free, monkeypatch):
+    # h - e0 and then h in proof order; only verdict solves a third time,
+    # in index order, for the witness
+    calls = count_solves(monkeypatch)
+    resolved = 0
+    for h in gf2_free:
+        calls.clear()
+        if not (verdict(h).colorable and len(calls) == 3):
+            continue
+        calls.clear()
+        assert classify(h) == COLORABLE
+        assert len(calls) == 2
+        resolved += 1
+    assert resolved == 15
+
+
 def test_verdict_solve_count_is_bounded(h75, monkeypatch):
     calls = count_solves(monkeypatch)
     h = load("38-19")

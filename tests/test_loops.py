@@ -3,7 +3,7 @@ import random
 from itertools import permutations
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ksets.corpus import CORPUS_LINES, LOOP_SIZES, load
 from ksets.loops import (
@@ -14,7 +14,8 @@ from ksets.loops import (
     format_annotated,
     loop_arrangements,
 )
-from ksets.mmp import hypergraph_from_edges, parse_mmp
+from ksets.mmp import hypergraph_from_edges, is_connected, parse_mmp
+from ksets.strip import SamplerSeed, sample_subsets
 
 
 class _ReferenceSearch(_LoopSearch):
@@ -99,6 +100,22 @@ class _ReferenceSearch(_LoopSearch):
         for s in range(self.m):
             dfs(s, s, (1 << (s + 1)) - 1, 0, [s])
         return found
+
+    def _reach(self, src: int, allowed: int) -> int:
+        r = src
+        frontier = src
+        adj = self.adj
+        while frontier:
+            nxt = 0
+            x = frontier
+            while x:
+                b = x & -x
+                nxt |= adj[b.bit_length() - 1]
+                x ^= b
+            nxt &= allowed & ~r
+            r |= nxt
+            frontier = nxt
+        return r
 
 
 def oracle_biggest(h):
@@ -367,9 +384,10 @@ def packing_hypergraphs(draw, duplicate):
     vertices first, which adds chords and more loops.
 
     With ``duplicate`` one edge repeats an earlier one, so some pair
-    shares a whole smallest edge and the packing bound is off (step <= 0).
-    Without, every edge has 3 to 5 vertices and no pair shares more than
-    2, so smax = 2 and step >= 1.
+    shares a whole smallest edge (step = kmin - smax <= 0, for the
+    smallest edge size kmin and the largest share smax).  Without, every
+    edge has 3 to 5 vertices and no pair shares more than 2, so smax = 2
+    and step >= 1.
     """
     low = 2 if duplicate else 3
     ring = draw(st.integers(min_value=3, max_value=7))
@@ -425,10 +443,10 @@ def _largest_share(h):
 @given(data=st.data())
 def test_packing_bound_matches_reference(duplicate, data):
     # the (size, witness) of longest and every fixed-size list, order
-    # included, with the bound off (step <= 0) and on with smax = 2
+    # included, with a repeated edge (step <= 0) and with smax = 2
     h = data.draw(packing_hypergraphs(duplicate))
-    step = _LoopSearch(h).step
     smax = _largest_share(h)
+    step = min(a.bit_count() for a in h.masks) - smax
     if duplicate:
         assert step <= 0 and smax >= 2
     else:
@@ -436,39 +454,22 @@ def test_packing_bound_matches_reference(duplicate, data):
     assert_matches_reference(h, lambda best: range(3, best + 2))
 
 
-def _longest_induced_path(h, edges):
-    """Brute force: the most edges of a sequence of distinct edges from
-    ``edges`` in which consecutive edges meet and others are disjoint."""
-    sets = [frozenset(h.edges[e]) for e in range(h.num_edges)]
-
-    def grow(path):
-        best = len(path)
-        for e in edges:
-            if e in path or not sets[e] & sets[path[-1]]:
-                continue
-            if all(not sets[e] & sets[p] for p in path[:-1]):
-                best = max(best, grow(path + [e]))
-        return best
-
-    return max((grow([e]) for e in edges), default=0)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.one_of(packing_hypergraphs(False), random_hypergraphs()), st.data()
-)
-def test_no_induced_path_beats_the_packing_bound(h, data):
-    search = _LoopSearch(h)
-    assume(search.step > 0)
-    edges = data.draw(st.sets(st.integers(0, h.num_edges - 1)))
-    most = search._most(sum(1 << e for e in edges))
-    assert _longest_induced_path(h, edges) <= most
-
-
 @settings(max_examples=12, deadline=None)
 @given(corpus_fragments())
 def test_search_matches_reference_on_corpus_fragments(h):
     assert_matches_reference(h, lambda best: [best] if best else [])
+
+
+@pytest.mark.parametrize("b", [20, 24, 26])
+def test_search_matches_reference_on_600cell_subsets(h75, b):
+    # the non-critical sets that ``ks loops`` gets after ``ks strip``
+    subsets = [
+        h for h in sample_subsets(h75, 75 - b, 12, SamplerSeed(b))
+        if is_connected(h)
+    ]
+    assert len(subsets) >= 6
+    for h in subsets[:6]:
+        assert_matches_reference(h, lambda best: [best] if best else [])
 
 
 def test_fixed_size_lists_match_reference_on_corpus():
