@@ -5,15 +5,17 @@ beta function.
 All non-integer work runs in arbitrary-precision decimal floating point
 (mpmath) with the working precision passed per call; the coupon inequality
 involves subtraction of almost-equal logarithms and silently gives wrong
-answers below 35 significant digits, so that floor is enforced.  mpmath is
-imported by the estimators themselves, on their first call, so importing
-this module (or the package) does not load it.
+answers below 35 significant digits, so that floor is enforced.  The
+incomplete beta itself is ``mpmath.betainc``; only its inverse (a Newton
+search with a bisection safeguard) is computed here.  mpmath is imported
+by the estimators themselves, on their first call, so importing this
+module (or the package) does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, inf
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -38,6 +40,17 @@ def _check_digits(digits: int) -> None:
             f"{digits} significant digits requested; coupon and beta "
             f"computations need at least {MIN_DIGITS}"
         )
+
+
+def _check_ints(**values) -> None:
+    for name, value in values.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+
+
+def _check_shapes(a, b) -> None:
+    if not (0 < a < inf and 0 < b < inf):
+        raise ValueError("shape parameters must be positive finite numbers")
 
 
 def binomial(n: int, k: int) -> int:
@@ -83,6 +96,7 @@ def coupon_mle(
     """
     import mpmath as mp
     _check_digits(digits)
+    _check_ints(samples=samples, distinct=distinct)
     n, c = samples, distinct
     if not 1 <= c <= n:
         raise ValueError(f"need 1 <= distinct <= samples, got c={c}, n={n}")
@@ -112,93 +126,36 @@ def coupon_mle(
     return CouponEstimate(n, c, lo)
 
 
-def _beta_cf(a, b, x, digits: int):
-    """Continued fraction for the incomplete beta tail (Lentz iteration)."""
-    import mpmath as mp
-    eps = mp.mpf(10) ** (-(digits - 5))
-    tiny = mp.mpf(10) ** (-(4 * digits))
-    qab, qap, qam = a + b, a + 1, a - 1
-    c = mp.mpf(1)
-    d = 1 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1 / d
-    h = d
-    for m in range(1, 20000):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1) < eps:
-            return h
-    raise ConvergenceError(
-        f"incomplete beta continued fraction did not converge "
-        f"(a={a}, b={b}, x={x})"
-    )
-
-
 def reg_inc_beta(x, a, b, digits: int = DEFAULT_DIGITS):
-    """I_x(a, b), the regularized incomplete beta function."""
+    """I_x(a, b), regularized incomplete beta, by ``mpmath.betainc``."""
     import mpmath as mp
     _check_digits(digits)
     with mp.workdps(digits):
-        x = mp.mpf(x)
-        a = mp.mpf(a)
-        b = mp.mpf(b)
+        x, a, b = mp.mpf(x), mp.mpf(a), mp.mpf(b)
+        _check_shapes(a, b)
+        if mp.isnan(x):
+            raise ValueError("x must be a number, got nan")
         if x <= 0:
             return mp.mpf(0)
         if x >= 1:
             return mp.mpf(1)
-        front = mp.exp(
-            a * mp.log(x)
-            + b * mp.log1p(-x)
-            - mp.log(a)
-            - mp.log(mp.beta(a, b))
-        )
-        # symmetry switch keeps the continued fraction in its fast region
-        if x < a / (a + b):
-            return front * _beta_cf(a, b, x, digits)
-        front_sym = mp.exp(
-            b * mp.log1p(-x)
-            + a * mp.log(x)
-            - mp.log(b)
-            - mp.log(mp.beta(a, b))
-        )
-        return 1 - front_sym * _beta_cf(b, a, 1 - x, digits)
+        return mp.betainc(a, b, 0, x, regularized=True)
 
 
 def reg_inc_beta_inv(p, a, b, digits: int = DEFAULT_DIGITS):
     """x with I_x(a, b) = p, by bracketing bisection plus Newton polish.
 
-    Raises ConvergenceError (never returns a silent bad value) when the
-    underlying continued fraction or the root search fails.
+    I_x is ``reg_inc_beta`` (``mpmath.betainc``).  Raises ConvergenceError
+    (never returns a silent bad value) when the root search fails to
+    converge; that search is the only source of the error.
     """
     import mpmath as mp
     _check_digits(digits)
     with mp.workdps(digits):
-        p = mp.mpf(p)
-        a = mp.mpf(a)
-        b = mp.mpf(b)
+        p, a, b = mp.mpf(p), mp.mpf(a), mp.mpf(b)
         if not 0 < p < 1:
             raise ValueError("p must lie strictly between 0 and 1")
-        if a <= 0 or b <= 0:
-            raise ValueError("shape parameters must be positive")
+        _check_shapes(a, b)
         lo, hi = mp.mpf(0), mp.mpf(1)
         x = a / (a + b)
         for _ in range(max(digits * 4, 200)):
@@ -252,6 +209,7 @@ def confidence_bounds(
     """
     import mpmath as mp
     _check_digits(digits)
+    _check_ints(samples=samples, hits=hits)
     n, m = samples, hits
     if not 0 <= m <= n or n < 1:
         raise ValueError(f"need 0 <= hits <= samples, got m={m}, n={n}")
@@ -259,8 +217,8 @@ def confidence_bounds(
         raise ValueError("confidence level must lie strictly in (0, 1)")
     with mp.workdps(digits):
         k = mp.mpf(population)
-        if k <= 0:
-            raise ValueError("population must be positive")
+        if not 0 < k < inf:
+            raise ValueError("population must be positive and finite")
         # decimal re-read so a float level like 0.95 means exactly 0.95
         lv = mp.mpf(str(level))
         if m == 0:

@@ -2,7 +2,9 @@ import os
 import subprocess
 import sys
 from dataclasses import fields
-from math import comb
+from fractions import Fraction
+from functools import lru_cache
+from math import comb, inf, nan
 from pathlib import Path
 
 import mpmath as mp
@@ -165,6 +167,79 @@ def test_beta_edge_values_and_validation():
         reg_inc_beta_inv(0.5, -1, 3)
     with pytest.raises(PrecisionError):
         reg_inc_beta_inv(0.5, 2, 3, digits=10)
+
+
+def test_beta_refuses_invalid_shapes_and_x():
+    # betainc itself returns nan for a negative shape and divides by zero
+    # for a zero one; a NaN would otherwise reach the root search
+    for a, b in ((-1, 3), (0, 3), (2, 0), (inf, 3), (2, inf), (nan, 3)):
+        with pytest.raises(ValueError, match="shape parameters must be"):
+            reg_inc_beta(0.5, a, b)
+        with pytest.raises(ValueError, match="shape parameters must be"):
+            reg_inc_beta_inv(0.5, a, b)
+    with pytest.raises(ValueError, match="x must be a number"):
+        reg_inc_beta(nan, 2, 3)
+    assert reg_inc_beta(-inf, 2, 3) == 0
+    assert reg_inc_beta(inf, 2, 3) == 1
+
+
+@lru_cache(maxsize=None)
+def _binomial_tail(x: Fraction, a: int, b: int) -> Fraction:
+    """I_x(a, b) for integer shapes: P(Binomial(a+b-1, x) >= a), exactly."""
+    n = a + b - 1
+    return sum(
+        comb(n, j) * x**j * (1 - x) ** (n - j) for j in range(a, n + 1)
+    )
+
+
+@pytest.mark.parametrize("digits", [35, 40, 60, 100])
+def test_reg_inc_beta_matches_exact_binomial_tail(digits):
+    shapes = [(1, 1), (2, 3), (7, 1), (1, 13), (10, 10), (40, 3), (3, 40),
+              (150, 250), (199, 200), (300, 100)]
+    # dyadic x, so the float handed to reg_inc_beta is exactly x
+    xs = [Fraction(1, 1024), Fraction(1, 64), Fraction(1, 4),
+          Fraction(1, 2), Fraction(7, 8)]
+    for a, b in shapes:
+        for x in xs:
+            got = reg_inc_beta(float(x), a, b, digits)
+            want = _binomial_tail(x, a, b)
+            with mp.workdps(digits + 20):
+                want = mp.mpf(want.numerator) / want.denominator
+                rel = abs(got / want - 1)
+                assert rel <= mp.mpf(10) ** -(digits - 5), (a, b, x, rel)
+
+
+def test_estimators_refuse_invalid_inputs():
+    for population in (nan, inf, -inf):
+        with pytest.raises(ValueError, match="population"):
+            confidence_bounds(population, 10, 2)
+    for n, m, name in ((10, 2.5, "hits"), (10.0, 2, "samples"),
+                       (10, True, "hits"), (True, 0, "samples")):
+        with pytest.raises(ValueError, match=f"{name} must be an int"):
+            confidence_bounds(100, n, m)
+    for n, c, name in ((10.5, 3, "samples"), (10, 3.0, "distinct"),
+                       (True, 1, "samples"), (2, True, "distinct")):
+        with pytest.raises(ValueError, match=f"{name} must be an int"):
+            coupon_mle(n, c)
+
+
+@pytest.mark.parametrize(
+    "b, ks, hits, want",
+    [
+        (71, 200, 0, ("0.0", "0.0", "22103.2621786038")),
+        (71, 200, 7, ("21072.6638968618", "42540.75", "85610.7332982872")),
+        (40, 187, 0, ("0.0", "0.0", "5.34599319764607e+19")),
+        (40, 143, 2, ("9.08308950142664e+18", "2.94261881540366e+19",
+                      "1.03661590812832e+20")),
+        (40, 96, 31, ("3.35821329822614e+20", "4.56105916387568e+20",
+                      "5.96072703973241e+20")),
+    ],
+)
+def test_confidence_bounds_values_are_pinned(b, ks, hits, want):
+    # shaped like the survey benchmark's calls: ks KS sets among 200 draws
+    # of b-edge subsets of the 60-75, hits of them critical
+    ci = confidence_bounds(comb(75, b) * ks / 200, ks, hits)
+    assert (str(ci.lower), str(ci.point), str(ci.upper)) == want
 
 
 def test_confidence_bounds_worked_example():
