@@ -6,10 +6,12 @@ All non-integer work runs in arbitrary-precision decimal floating point
 (mpmath) with the working precision passed per call; the coupon inequality
 involves subtraction of almost-equal logarithms and silently gives wrong
 answers below 35 significant digits, so that floor is enforced.  The
-incomplete beta itself is ``mpmath.betainc``; only its inverse (a Newton
-search with a bisection safeguard) is computed here.  mpmath is imported
-by the estimators themselves, on their first call, so importing this
-module (or the package) does not load it.
+incomplete beta is a Lentz continued fraction rather than
+``mpmath.betainc``: mpmath 1.3's ``betainc`` sums an alternating series
+that cancels about b*log2(1/(1-x)) bits, so it raises once a confidence
+bound has more than a few thousand hits.  mpmath is imported by the
+estimators themselves, on their first call, so importing this module (or
+the package) does not load it.
 """
 
 from __future__ import annotations
@@ -126,8 +128,49 @@ def coupon_mle(
     return CouponEstimate(n, c, lo)
 
 
+def _beta_cf(a, b, x, digits: int):
+    """Continued fraction for the incomplete beta tail (Lentz iteration)."""
+    import mpmath as mp
+    eps = mp.mpf(10) ** (-(digits - 5))
+    tiny = mp.mpf(10) ** (-(4 * digits))
+    qab, qap, qam = a + b, a + 1, a - 1
+    c = mp.mpf(1)
+    d = 1 - qab * x / qap
+    if abs(d) < tiny:
+        d = tiny
+    d = 1 / d
+    h = d
+    for m in range(1, 20000):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1 + aa * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1 + aa / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1 + aa * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1 + aa / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1) < eps:
+            return h
+    raise ConvergenceError(
+        f"incomplete beta continued fraction did not converge "
+        f"(a={a}, b={b}, x={x})"
+    )
+
+
 def reg_inc_beta(x, a, b, digits: int = DEFAULT_DIGITS):
-    """I_x(a, b), regularized incomplete beta, by ``mpmath.betainc``."""
+    """I_x(a, b), the regularized incomplete beta function."""
     import mpmath as mp
     _check_digits(digits)
     with mp.workdps(digits):
@@ -139,15 +182,29 @@ def reg_inc_beta(x, a, b, digits: int = DEFAULT_DIGITS):
             return mp.mpf(0)
         if x >= 1:
             return mp.mpf(1)
-        return mp.betainc(a, b, 0, x, regularized=True)
+        front = mp.exp(
+            a * mp.log(x)
+            + b * mp.log1p(-x)
+            - mp.log(a)
+            - mp.log(mp.beta(a, b))
+        )
+        # symmetry switch keeps the continued fraction in its fast region
+        if x < a / (a + b):
+            return front * _beta_cf(a, b, x, digits)
+        front_sym = mp.exp(
+            b * mp.log1p(-x)
+            + a * mp.log(x)
+            - mp.log(b)
+            - mp.log(mp.beta(a, b))
+        )
+        return 1 - front_sym * _beta_cf(b, a, 1 - x, digits)
 
 
 def reg_inc_beta_inv(p, a, b, digits: int = DEFAULT_DIGITS):
     """x with I_x(a, b) = p, by bracketing bisection plus Newton polish.
 
-    I_x is ``reg_inc_beta`` (``mpmath.betainc``).  Raises ConvergenceError
-    (never returns a silent bad value) when the root search fails to
-    converge; that search is the only source of the error.
+    Raises ConvergenceError (never returns a silent bad value) when the
+    underlying continued fraction or the root search fails.
     """
     import mpmath as mp
     _check_digits(digits)

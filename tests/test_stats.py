@@ -170,8 +170,8 @@ def test_beta_edge_values_and_validation():
 
 
 def test_beta_refuses_invalid_shapes_and_x():
-    # betainc itself returns nan for a negative shape and divides by zero
-    # for a zero one; a NaN would otherwise reach the root search
+    # a negative shape used to give 1, and a NaN ran the continued
+    # fraction to its step cap
     for a, b in ((-1, 3), (0, 3), (2, 0), (inf, 3), (2, inf), (nan, 3)):
         with pytest.raises(ValueError, match="shape parameters must be"):
             reg_inc_beta(0.5, a, b)
@@ -239,6 +239,30 @@ def test_confidence_bounds_values_are_pinned(b, ks, hits, want):
     # shaped like the survey benchmark's calls: ks KS sets among 200 draws
     # of b-edge subsets of the 60-75, hits of them critical
     ci = confidence_bounds(comb(75, b) * ks / 200, ks, hits)
+    assert (str(ci.lower), str(ci.point), str(ci.upper)) == want
+
+
+def test_reg_inc_beta_at_large_equal_shapes():
+    # I_1/2(a, a) = 1/2; mpmath.betainc raises here, its series cancelling
+    # about 4000 bits
+    for digits in (40, 100):
+        got = reg_inc_beta(0.5, 4001, 4001, digits)
+        assert abs(2 * got - 1) <= mp.mpf(10) ** -(digits - 5)
+
+
+@pytest.mark.parametrize(
+    "n, m, want",
+    [
+        (52800000, 5000, ("828980374722.438", "852272727272.727",
+                          "876228751564.265")),
+        (10000, 3000, ("2.61987690171175e+15", "2.7e+15",
+                       "2.78152463199901e+15")),
+    ],
+)
+def test_confidence_bounds_with_thousands_of_hits(n, m, want):
+    # a bound with m hits needs I_x(m+1, n-m+1) near x = m/n, where
+    # mpmath.betainc's series cancels about 1.44*m bits and gives up
+    ci = confidence_bounds(9.0e15, n, m)
     assert (str(ci.lower), str(ci.point), str(ci.upper)) == want
 
 
