@@ -9,7 +9,13 @@ from .canon import (
     canonical_labeling,
     dedupe_isomorphic,
 )
-from .cell600 import RaySet600, build_600cell, verify_assignment
+from .cell600 import (
+    Ray,
+    RaySet600,
+    build_600cell,
+    inner_product,
+    verify_assignment,
+)
 from .coloring import (
     Coloring,
     KsVerdict,
@@ -19,7 +25,6 @@ from .coloring import (
     is_ks,
     verdict,
 )
-from .golden import GoldenNumber, Ray, golden, inner_product
 from .layout import LayoutConfig, emit_layout
 from .loops import (
     EdgeClassification,

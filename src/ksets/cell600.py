@@ -3,27 +3,29 @@ MMP hypergraph.
 
 The 120 vertices of the 600-cell are the 8 unit-axis vectors, the 16
 half-integer sign vectors, and the 96 even coordinate permutations of
-(+-tau, +-1, +-kappa, 0)/2.  Antipodal identification leaves 60 rays, and
-the maximal mutually-orthogonal 4-sets of rays form exactly 75 bases, each
-ray lying in exactly 5 of them.  Everything is computed in exact golden
-field arithmetic.  Every coordinate lies in Z[tau]/2, so orthogonality is
-decided on doubled coordinates, as integer pairs (2a, 2b) in Z[tau]; no
-floating point is used anywhere.
+(+-tau, +-1, +-kappa, 0)/2, where tau = (1 + sqrt5)/2 and kappa = 1/tau =
+tau - 1.  Antipodal identification leaves 60 rays, and the maximal
+mutually-orthogonal 4-sets of rays form exactly 75 bases, each ray lying in
+exactly 5 of them.  Every coordinate lies in Z[tau]/2, so each is stored
+from the start as the integer pair (p, q) of (p + q*tau)/2, and all
+arithmetic is exact integer arithmetic in Z[tau]; no floating point is used
+anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations, product
 from typing import Iterable, Mapping
 
-from .golden import KAPPA, ONE, TAU, ZERO, GoldenNumber, Ray, inner_product
 from .mmp import Hypergraph
+
+Pair = tuple[int, int]  # (p, q) standing for (p + q*tau)/2
+Ray = tuple[Pair, Pair, Pair, Pair]  # first nonzero component positive
 
 
 class ConstructionError(RuntimeError):
-    """The construction produced inconsistent counts or coordinates."""
+    """The construction produced inconsistent counts."""
 
 
 @dataclass(frozen=True)
@@ -31,6 +33,42 @@ class RaySet600:
     rays: tuple[Ray, ...]            # 60, in canonical sort order
     bases: tuple[tuple[int, int, int, int], ...]  # 75, lexicographic
     hypergraph: Hypergraph           # the induced 60-75 MMP hypergraph
+
+
+def _sign(p: int, q: int) -> int:
+    """Exact sign of (p + q*tau)/2, that is of (2p + q) + q*sqrt5."""
+    x = 2 * p + q
+    if x >= 0 and q >= 0:
+        return 1 if x or q else 0
+    if x <= 0 and q <= 0:
+        return -1
+    # opposite signs, and x*x == 5*q*q only at zero: the larger term wins
+    return (1 if x > 0 else -1) if x * x > 5 * q * q else (1 if q > 0 else -1)
+
+
+def _ray(v: Ray) -> Ray:
+    """The representative of the ray through v: v or -v, whichever has a
+    positive first nonzero component, so antipodes collapse to one ray."""
+    if len(v) != 4:
+        raise ValueError("rays are 4-dimensional")
+    for p, q in v:
+        sign = _sign(p, q)
+        if sign:
+            return v if sign > 0 else tuple((-a, -b) for a, b in v)
+    raise ValueError("zero vector is not a ray")
+
+
+def inner_product(u: Ray, v: Ray) -> Pair:
+    """(P, Q) with P + Q*tau four times the real inner product; (0, 0) iff
+    the rays are orthogonal.
+
+    (a + b t)(c + d t) = (ac + bd) + (ad + bc + bd) t since t^2 = t + 1.
+    """
+    p = q = 0
+    for (a, b), (c, d) in zip(u, v):
+        p += a * c + b * d
+        q += a * d + b * c + b * d
+    return p, q
 
 
 def _even_permutations() -> list[tuple[int, ...]]:
@@ -44,55 +82,37 @@ def _even_permutations() -> list[tuple[int, ...]]:
     return out
 
 
-def _vertices_600cell() -> list[tuple[GoldenNumber, ...]]:
-    half = Fraction(1, 2)
-    verts: list[tuple[GoldenNumber, ...]] = []
+def _vertices_600cell() -> list[Ray]:
+    zero = (0, 0)
+    verts: list[Ray] = []
     for axis in range(4):
-        for s in (1, -1):
-            v = [ZERO] * 4
-            v[axis] = ONE.scale(s)
+        for s in (2, -2):
+            v = [zero] * 4
+            v[axis] = (s, 0)
             verts.append(tuple(v))
     for signs in product((1, -1), repeat=4):
-        verts.append(tuple(ONE.scale(Fraction(s, 2)) for s in signs))
-    pattern = (TAU, ONE, KAPPA, ZERO)
+        verts.append(tuple((s, 0) for s in signs))
+    pattern = ((0, 1), (1, 0), (-1, 1), zero)  # tau/2, 1/2, kappa/2, 0
     for perm in _even_permutations():
         for signs in product((1, -1), repeat=3):
-            v = [ZERO] * 4
+            v = [zero] * 4
             si = 0
             for pos in range(4):
-                comp = pattern[perm[pos]]
-                if comp is ZERO:
+                p, q = pattern[perm[pos]]
+                if (p, q) == zero:
                     continue
-                v[pos] = comp.scale(signs[si] * half)
+                v[pos] = (signs[si] * p, signs[si] * q)
                 si += 1
             verts.append(tuple(v))
     return verts
 
 
-def _doubled(c: GoldenNumber) -> tuple[int, int]:
-    """(2a, 2b) for a component a + b*tau, which must lie in Z[tau]/2."""
-    a, b = 2 * c.a, 2 * c.b
-    if a.denominator != 1 or b.denominator != 1:
-        raise ConstructionError(f"component {c} is not in Z[tau]/2")
-    return a.numerator, b.numerator
-
-
 def _orthogonality(rays: list[Ray]) -> list[int]:
-    """Bit j of entry i is set iff rays i and j are orthogonal.
-
-    Decided on doubled coordinates in Z[tau]: (a + b t)(c + d t) =
-    (ac + bd) + (ad + bc + bd) t since t^2 = t + 1, and a sum of such
-    products is zero iff both integer parts are.
-    """
-    doubled = [[_doubled(c) for c in r.components] for r in rays]
+    """Bit j of entry i is set iff rays i and j are orthogonal."""
     orth = [0] * len(rays)
-    for i, u in enumerate(doubled):
+    for i, u in enumerate(rays):
         for j in range(i + 1, len(rays)):
-            p = q = 0
-            for (a, b), (c, d) in zip(u, doubled[j]):
-                p += a * c + b * d
-                q += a * d + b * c + b * d
-            if p == 0 and q == 0:
+            if inner_product(u, rays[j]) == (0, 0):
                 orth[i] |= 1 << j
                 orth[j] |= 1 << i
     return orth
@@ -104,7 +124,7 @@ def build_600cell() -> RaySet600:
     if len(verts) != 120:
         raise ConstructionError(f"expected 120 vertices, got {len(verts)}")
 
-    rays = sorted({Ray.of(*v) for v in verts}, key=Ray.sort_key)
+    rays = sorted({_ray(v) for v in verts})
     if len(rays) != 60:
         raise ConstructionError(f"expected 60 rays, got {len(rays)}")
 
@@ -143,7 +163,7 @@ class OrthogonalityViolation:
     edge: int
     u: int
     v: int
-    value: GoldenNumber
+    value: Pair  # inner_product of the two rays, nonzero
 
 
 def verify_assignment(
@@ -162,26 +182,18 @@ def verify_assignment(
         for x in range(len(e)):
             for y in range(x + 1, len(e)):
                 ip = inner_product(assignment[e[x]], assignment[e[y]])
-                if not ip.is_zero():
+                if ip != (0, 0):
                     out.append(OrthogonalityViolation(ei, e[x], e[y], ip))
     return out
 
 
+def _half(n: int) -> str:
+    return str(n // 2) if n % 2 == 0 else f"{n}/2"
+
+
 def format_vectors(rays: Iterable[Ray]) -> str:
-    """One line per ray, four 'a+b t' exact golden components separated by
-    spaces."""
+    """One line per ray, four exact components 'a+bt' standing for a + b*tau
+    separated by spaces, with a and b written as integers or halves."""
     return "".join(
-        " ".join(str(c) for c in r.components) + "\n" for r in rays
+        " ".join(f"{_half(p)}+{_half(q)}t" for p, q in r) + "\n" for r in rays
     )
-
-
-def parse_vectors(text: str) -> list[Ray]:
-    rays = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise ValueError(f"expected 4 components per line, got {line!r}")
-        rays.append(Ray.of(*(GoldenNumber.parse(p) for p in parts)))
-    return rays

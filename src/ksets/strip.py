@@ -16,9 +16,7 @@ scanning all n.
 from __future__ import annotations
 
 import hashlib
-import os
 import random
-import time
 from dataclasses import dataclass, field
 from math import comb, isfinite
 from typing import Iterable, Iterator
@@ -31,15 +29,6 @@ class SamplerSeed:
     """A 64-bit seed; identical seeds produce identical sample streams."""
 
     seed: int
-    provenance: str = "user-supplied"
-
-    @staticmethod
-    def from_entropy() -> "SamplerSeed":
-        material = f"{time.time_ns()}:{os.getpid()}:{time.process_time_ns()}"
-        digest = hashlib.sha256(material.encode()).digest()
-        return SamplerSeed(
-            int.from_bytes(digest[:8], "big"), provenance="entropy-derived"
-        )
 
 
 def rng_for(seed: SamplerSeed, stream: int = 0) -> random.Random:

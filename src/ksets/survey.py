@@ -274,7 +274,7 @@ def run_stage(
         k=1,
         increment=increment,
         selection_mode=cfg.selection_mode,
-        seed=SamplerSeed(cfg.seed.seed + edges, cfg.seed.provenance),
+        seed=SamplerSeed(cfg.seed.seed + edges),
     )
     # one_edge_children thins per the plan and removes exact duplicates
     children = list(one_edge_children(inputs, plan))

@@ -5,73 +5,40 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from ksets import cell600 as cell600_module
 from ksets.cell600 import (
-    ConstructionError,
     _orthogonality,
+    _ray,
+    _sign,
     build_600cell,
     format_vectors,
-    parse_vectors,
+    inner_product,
     verify_assignment,
     _vertices_600cell,
 )
 from ksets.coloring import is_ks
-from ksets.golden import (
-    KAPPA,
-    ONE,
-    TAU,
-    ZERO,
-    GoldenNumber,
-    Ray,
-    golden,
-    inner_product,
-)
 from ksets.mmp import parse_mmp, serialize_mmp, validate_mmp
 
-
-def test_golden_identities():
-    assert TAU * TAU == TAU + ONE
-    assert TAU * KAPPA == ONE
-    assert TAU - KAPPA == ONE
-    assert (TAU + KAPPA) * (TAU - KAPPA) == TAU * TAU - KAPPA * KAPPA
+PHI = (1 + 5**0.5) / 2
 
 
-rationals = st.fractions(
-    min_value=-10, max_value=10, max_denominator=16
-)
-
-
-@given(rationals, rationals)
-def test_sign_matches_float(a, b):
-    g = GoldenNumber(a, b)
-    f = float(g)
+@given(st.integers(-1000, 1000), st.integers(-1000, 1000))
+def test_sign_matches_float(p, q):
+    f = (p + q * PHI) / 2
     if abs(f) > 1e-9:
-        assert g.sign() == (1 if f > 0 else -1)
-    if g.is_zero():
-        assert g.sign() == 0
-
-
-@given(rationals, rationals, rationals, rationals)
-def test_ordering_consistent_with_float(a, b, c, d):
-    x, y = GoldenNumber(a, b), GoldenNumber(c, d)
-    if abs(float(x) - float(y)) > 1e-9:
-        assert (x < y) == (float(x) < float(y))
-
-
-@given(rationals, rationals)
-def test_golden_str_parse_round_trip(a, b):
-    g = GoldenNumber(a, b)
-    assert GoldenNumber.parse(str(g)) == g
+        assert _sign(p, q) == (1 if f > 0 else -1)
+    if (p, q) == (0, 0):
+        assert _sign(p, q) == 0
 
 
 def test_ray_canonicalizes_antipodes():
-    r1 = Ray.of(ONE, ZERO, ZERO, ZERO)
-    r2 = Ray.of(-ONE, ZERO, ZERO, ZERO)
-    assert r1 == r2
+    zero = (0, 0)
+    r1 = _ray(((2, 0), zero, zero, zero))
+    r2 = _ray(((-2, 0), zero, zero, zero))
+    assert r1 == r2 == ((2, 0), zero, zero, zero)
     with pytest.raises(ValueError):
-        Ray.of(ZERO, ZERO, ZERO, ZERO)
+        _ray((zero, zero, zero, zero))
     with pytest.raises(ValueError):
-        Ray.of(ONE, ZERO)
+        _ray(((2, 0), zero))
 
 
 def test_vertex_counts():
@@ -96,21 +63,22 @@ def test_bases_exactly_orthogonal(cell600):
         for i in range(4):
             for j in range(i + 1, 4):
                 ip = inner_product(cell600.rays[b[i]], cell600.rays[b[j]])
-                assert ip.is_zero()
+                assert ip == (0, 0)
 
 
 def test_no_floating_point(cell600):
     for r in cell600.rays:
-        for c in r.components:
-            assert isinstance(c.a, Fraction) and isinstance(c.b, Fraction)
+        assert len(r) == 4
+        for c in r:
+            assert len(c) == 2 and all(type(x) is int for x in c)
 
 
 def test_known_orthogonal_pair():
-    half = Fraction(1, 2)
-    u = Ray.of(TAU.scale(half), ZERO, ONE.scale(-half), KAPPA.scale(-half))
-    v = Ray.of(ZERO, ONE, ZERO, ZERO)
-    assert inner_product(u, v).is_zero()
-    assert not inner_product(u, u).is_zero()
+    # (tau, 0, -1, -kappa)/2 and (0, 1, 0, 0)
+    u = _ray(((0, 1), (0, 0), (-1, 0), (1, -1)))
+    v = _ray(((0, 0), (2, 0), (0, 0), (0, 0)))
+    assert inner_product(u, v) == (0, 0)
+    assert inner_product(u, u) == (4, 0)
 
 
 def test_hypergraph_is_valid_and_ks(h75):
@@ -127,14 +95,16 @@ def test_verify_assignment_full(cell600, h75):
 
 def test_verify_assignment_perturbation_is_local(cell600, h75):
     assignment = dict(enumerate(cell600.rays))
-    # replace ray 0 with something orthogonal to nothing it needs
-    assignment[0] = Ray.of(ONE, TAU, KAPPA, golden(3))
+    # replace ray 0 with (1, tau, kappa, 3), orthogonal to nothing it needs
+    assignment[0] = _ray(((2, 0), (0, 2), (-2, 2), (6, 0)))
     violations = verify_assignment(h75, assignment)
     assert violations
     touched = {ei for ei, e in enumerate(h75.edges) if 0 in e}
     assert {v.edge for v in violations} <= touched
     for v in violations:
         assert 0 in (v.u, v.v)
+        assert v.value == inner_product(assignment[v.u], assignment[v.v])
+        assert v.value != (0, 0)
 
 
 def test_verify_assignment_missing_vertex(h75, cell600):
@@ -144,13 +114,22 @@ def test_verify_assignment_missing_vertex(h75, cell600):
         verify_assignment(h75, partial)
 
 
+def _doubled_pair(text):
+    # "a+bt" -> (2a, 2b); the parts carry their own signs
+    a, b = text.removesuffix("t").split("+")
+    doubled = (2 * Fraction(a), 2 * Fraction(b))
+    assert all(x.denominator == 1 for x in doubled)
+    return tuple(int(x) for x in doubled)
+
+
 def test_vector_file_round_trip(cell600):
     text = format_vectors(cell600.rays)
-    back = parse_vectors(text)
-    assert tuple(back) == cell600.rays
+    back = tuple(
+        tuple(_doubled_pair(c) for c in line.split())
+        for line in text.splitlines()
+    )
+    assert back == cell600.rays
     assert format_vectors(back) == text
-    with pytest.raises(ValueError):
-        parse_vectors("1+0t 0+0t\n")
 
 
 def test_build_is_deterministic(cell600):
@@ -160,18 +139,21 @@ def test_build_is_deterministic(cell600):
 
 
 def test_integer_orthogonality_matches_the_golden_field(cell600):
-    orth = _orthogonality(list(cell600.rays))
-    pairs = set()
-    for i, j in combinations(range(60), 2):
-        u, v = cell600.rays[i], cell600.rays[j]
-        orthogonal = bool(orth[i] >> j & 1)
-        assert orthogonal == inner_product(u, v).is_zero()
-        assert orthogonal == bool(orth[j] >> i & 1)
-        if orthogonal:
-            pairs.add((i, j))
-    assert len(pairs) == 450
+    # independent oracle: the rays as floats, (p + q*phi)/2 per component
+    vectors = [[(p + q * PHI) / 2 for p, q in r] for r in cell600.rays]
+    for x in vectors:
+        assert abs(sum(c * c for c in x) - 1) < 1e-12
     in_bases = {p for b in cell600.bases for p in combinations(b, 2)}
-    assert pairs == in_bases
+    assert len(in_bases) == 450
+    orth = _orthogonality(list(cell600.rays))
+    for i, j in combinations(range(60), 2):
+        dot = abs(sum(a * b for a, b in zip(vectors[i], vectors[j])))
+        if (i, j) in in_bases:
+            assert dot < 1e-9
+        else:
+            assert dot >= 0.3
+        assert bool(orth[i] >> j & 1) == ((i, j) in in_bases)
+        assert bool(orth[j] >> i & 1) == ((i, j) in in_bases)
     assert all(not m >> i & 1 for i, m in enumerate(orth))
 
 
@@ -186,12 +168,3 @@ def test_outputs_are_pinned(cell600, h75):
         "d8baf55a6a469de292ba002b6169d39a33aae4274e6ce67309685ac06433e4bb"
     )
 
-
-def test_component_outside_half_integers_is_refused(monkeypatch):
-    third = Fraction(1, 3)
-    verts = [tuple(c.scale(third) for c in v) for v in _vertices_600cell()]
-    monkeypatch.setattr(cell600_module, "_vertices_600cell", lambda: verts)
-    # every count still holds; only the doubled coordinates are not integers
-    with pytest.raises(ConstructionError) as err:
-        build_600cell()
-    assert str(err.value) == "component -1/6+1/6t is not in Z[tau]/2"

@@ -193,12 +193,6 @@ def test_rng_streams_independent():
     assert r0 != r1
 
 
-def test_entropy_seed_has_provenance():
-    s = SamplerSeed.from_entropy()
-    assert s.provenance == "entropy-derived"
-    assert 0 <= s.seed < 2**64
-
-
 def test_strip_one_each_renormalizes_each_child_once(monkeypatch):
     import ksets.strip
 
