@@ -3,8 +3,6 @@ filtering, classification, and statistical surveys."""
 
 from .canon import (
     CanonicalForm,
-    IsoMapping,
-    are_isomorphic,
     canonical_form,
     canonical_labeling,
     dedupe_isomorphic,
@@ -18,12 +16,10 @@ from .cell600 import (
 )
 from .coloring import (
     Coloring,
-    KsVerdict,
     has_parity_proof,
     is_colorable,
     is_critical,
     is_ks,
-    verdict,
 )
 from .layout import LayoutConfig, emit_layout
 from .loops import (
@@ -73,7 +69,6 @@ from .survey import (
     SurveyConfig,
     calibrate_increment,
     run_survey,
-    survey_aggregate,
 )
 
 __version__ = "0.1.0"

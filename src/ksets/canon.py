@@ -62,29 +62,6 @@ class CanonicalForm:
         return parse_mmp(self.text)
 
 
-@dataclass(frozen=True)
-class IsoMapping:
-    """A witness isomorphism h1 -> h2."""
-
-    vertex_map: dict[int, int]
-    edge_map: dict[int, int]
-
-    def verifies(self, h1: Hypergraph, h2: Hypergraph) -> bool:
-        """Check the mapping by direct application, independent of how it
-        was found."""
-        if sorted(self.vertex_map) != list(range(h1.num_vertices)):
-            return False
-        if sorted(set(self.vertex_map.values())) != list(range(h2.num_vertices)):
-            return False
-        for ei, e in enumerate(h1.edges):
-            target = self.edge_map.get(ei)
-            if target is None:
-                return False
-            if {self.vertex_map[v] for v in e} != set(h2.edges[target]):
-                return False
-        return sorted(set(self.edge_map.values())) == list(range(h2.num_edges))
-
-
 def _partition(colors: Sequence) -> tuple[list[int], dict[int, list[int]]]:
     """The ordered partition of nodes by sorted color, as start labels and a
     start -> members map."""
@@ -435,32 +412,6 @@ def canonical_form(h: Hypergraph) -> CanonicalForm:
     """Deterministic; invariant under vertex relabeling and edge-list
     permutation."""
     return canonical_labeling(h)[0]
-
-
-def are_isomorphic(h1: Hypergraph, h2: Hypergraph) -> IsoMapping | None:
-    """Return a verified isomorphism h1 -> h2, or None."""
-    if (h1.num_vertices, h1.num_edges) != (h2.num_vertices, h2.num_edges):
-        return None
-    c1, pos1 = canonical_labeling(h1)
-    c2, pos2 = canonical_labeling(h2)
-    if c1 != c2:
-        return None
-    inv2 = {p: v for v, p in enumerate(pos2)}
-    vertex_map = {v: inv2[pos1[v]] for v in range(h1.num_vertices)}
-    masks2: dict[int, list[int]] = {}
-    for ei, m in enumerate(h2.masks):
-        masks2.setdefault(m, []).append(ei)
-    edge_map: dict[int, int] = {}
-    used: set[int] = set()
-    for ei, e in enumerate(h1.edges):
-        image = sum(1 << vertex_map[v] for v in e)
-        cands = [c for c in masks2.get(image, ()) if c not in used]
-        if not cands:
-            return None
-        edge_map[ei] = cands[0]
-        used.add(cands[0])
-    mapping = IsoMapping(vertex_map, edge_map)
-    return mapping if mapping.verifies(h1, h2) else None
 
 
 def dedupe_isomorphic(hs: Iterable[Hypergraph]) -> Iterator[Hypergraph]:

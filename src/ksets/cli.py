@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import fields
 from math import comb, isfinite
 from pathlib import Path
 
@@ -32,13 +33,7 @@ from .stats import (
     coupon_mle,
 )
 from .strip import SamplerSeed, StripPlan, enumerate_subsets
-from .survey import (
-    ConfigError,
-    StageResult,
-    parse_config,
-    run_survey,
-    survey_aggregate,
-)
+from .survey import ConfigError, StageResult, parse_config, run_survey
 
 # an input that names a directory is a usage error, not a traceback
 _IN_FILE = click.Path(exists=True, dir_okay=False)
@@ -316,7 +311,7 @@ def aggregate(infile, outfile):
             f"its plot file '{plot_path}' is a directory.",
             param_hint="'--out'",
         )
-    records: list[StageResult] = []
+    records: dict[int, StageResult] = {}
     first: dict[int, int] = {}  # edge count -> line of its record
     text = Path(infile).read_text(errors="surrogateescape")
     for ln, line in enumerate(text.splitlines(), start=1):
@@ -332,8 +327,16 @@ def aggregate(infile, outfile):
                 f"(first on line {first[r.edges]})"
             )
         first[r.edges] = ln
-        records.append(r)
-    table, plot = survey_aggregate(records)
+        records[r.edges] = r
+    # one column per field and one row per edge count, ascending; the plot
+    # file holds one list per field in the same order
+    names = [f.name for f in fields(StageResult)]
+    rows = [records[b].__dict__ for b in sorted(records)]
+    table = "".join(
+        "\t".join(row) + "\n"
+        for row in [names] + [[str(r[n]) for n in names] for r in rows]
+    )
+    plot = {n: [r[n] for r in rows] for n in names}
     Path(outfile).write_text(table)
     plot_path.write_text(json.dumps(plot, indent=2) + "\n")
     click.echo(f"{len(records)} records -> {outfile}, {plot_path}")

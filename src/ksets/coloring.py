@@ -24,11 +24,8 @@ order: it branches on the edges of highest total vertex degree first, which
 fails sooner (Haralick and Elliott, Artificial Intelligence 14, 1980) and
 shrinks the search trees that prove a set KS.  ``is_ks`` returns only a
 bool, and ``classify``'s removal solves only feed model rotation, so both
-search in proof order.  ``is_colorable`` and the first solve of
-``classify`` keep index order.  ``classify`` drops a coloring that its
-whole-set solve finds in proof order, and ``verdict`` alone solves that
-set again in index order, so every coloring that is returned is the one
-index order finds.
+search in proof order.  ``is_colorable``, whose coloring is returned, and
+the first solve of ``classify`` keep index order.
 
 ``classify`` tells colorable, KS and critical sets apart from the one-edge
 removals first.  A KS removal makes the set KS and not critical after one
@@ -65,14 +62,6 @@ class Coloring:
         return Coloring(
             frozenset(v for v in range(num_vertices) if (mask >> v) & 1)
         )
-
-
-@dataclass(frozen=True)
-class KsVerdict:
-    colorable: bool
-    witness: Coloring | None
-    critical: bool | None  # defined only for non-colorable inputs
-    parity: bool
 
 
 def _vertex_edges(
@@ -225,34 +214,26 @@ def is_critical(h: Hypergraph) -> bool:
 
 
 def classify(h: Hypergraph) -> int:
-    """COLORABLE, KS for a KS set that is not critical, or CRITICAL."""
-    return _classify(h)[0]
-
-
-def _classify(h: Hypergraph) -> tuple[int, int | None]:
-    """The kind of h, with the mask of 1-valued vertices of a coloring
-    when it is colorable and one comes for free.
+    """COLORABLE, KS for a KS set that is not critical, or CRITICAL.
 
     h - e0 is solved first: if it is KS, so is h, and h is not critical.  A
     coloring of h - e0 that gives e0 exactly one 1 colors h.  Otherwise h
-    is solved itself, in proof order, and a coloring found there is
-    dropped: it may differ from the one index order finds.  When h is KS,
-    every coloring of a removal h - e fails e alone and proves e
-    necessary, and rotating it proves more edges necessary; each edge not
-    yet proven costs one solve of its removal, and the first KS removal
-    ends the check.
+    is solved itself, in proof order.  When h is KS, every coloring of a
+    removal h - e fails e alone and proves e necessary, and rotating it
+    proves more edges necessary; each edge not yet proven costs one solve
+    of its removal, and the first KS removal ends the check.
     """
     masks, num_vertices = h.masks, h.num_vertices
     if not masks:
-        return COLORABLE, 0
+        return COLORABLE
     ones = _solve(masks[1:], num_vertices)
     if ones is None:
-        return KS, None
+        return KS
     on_e0 = ones & masks[0]
     if on_e0 and not on_e0 & (on_e0 - 1):
-        return COLORABLE, ones
+        return COLORABLE
     if _solve(masks, num_vertices, proof=True) is not None:
-        return COLORABLE, None
+        return COLORABLE
     vert_edges = _vertex_edges(masks, num_vertices)
     necessary: set[int] = set()
     for e in range(len(masks)):
@@ -261,9 +242,9 @@ def _classify(h: Hypergraph) -> tuple[int, int | None]:
         if e:
             ones = _solve(masks[:e] + masks[e + 1 :], num_vertices, proof=True)
             if ones is None:
-                return KS, None
+                return KS
         _rotate(masks, vert_edges, ones, e, necessary)
-    return CRITICAL, None
+    return CRITICAL
 
 
 def _rotate(
@@ -323,13 +304,3 @@ def has_parity_proof(h: Hypergraph) -> bool:
     if h.num_edges % 2 == 0:
         return False
     return all(d % 2 == 0 for d in h.vertex_degrees())
-
-
-def verdict(h: Hypergraph) -> KsVerdict:
-    kind, ones = _classify(h)
-    colorable = kind == COLORABLE
-    if colorable and ones is None:
-        ones = _solve(h.masks, h.num_vertices)
-    witness = Coloring.from_mask(ones, h.num_vertices) if colorable else None
-    critical = None if colorable else kind == CRITICAL
-    return KsVerdict(colorable, witness, critical, has_parity_proof(h))

@@ -4,55 +4,49 @@ The loop is drawn as a regular n-gon, one edge per side with straight
 segments; every other edge becomes a chain of cubic Bezier curves through
 its vertex positions, shaped by tension (tighter curves for larger values)
 and endpoint curl.  Free vertices are placed inside the polygon,
-off-centre, on vertical lines with at most four vertices per line by
-default.  Output is plain vector-graphics source text (SVG or an
-Asymptote-dialect script) and is byte-deterministic for a given input and
-configuration.
+off-centre, on vertical lines with at most four vertices per line.
+Output is plain vector-graphics source text (SVG or an Asymptote-dialect
+script) and is byte-deterministic for a given input and configuration.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 from .loops import Loop, classify_edges
 from .mmp import Hypergraph, vertex_to_chars
+
+RADIUS = 250.0  # of the loop polygon's circumcircle
+COLUMN_SPACING = 40.0  # between free-vertex columns, and between rows
+MAX_PER_COLUMN = 4
 
 
 @dataclass(frozen=True)
 class LayoutConfig:
     tension: float = 1.0
     curl: float = 1.0
-    per_edge_tension: Mapping[int, float] = field(default_factory=dict)
-    per_edge_curl: Mapping[int, float] = field(default_factory=dict)
-    column_spacing: float = 40.0
-    max_per_column: int = 4
-    radius: float = 250.0
     backend: str = "svg"  # "svg" | "asymptote"
 
     def __post_init__(self) -> None:
-        if self.tension <= 0 or any(t <= 0 for t in self.per_edge_tension.values()):
-            raise ValueError("tension must be positive")
+        for name in ("tension", "curl"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"{name} must be a finite positive number, got {value}"
+                )
         if self.backend not in ("svg", "asymptote"):
             raise ValueError(f"unknown backend {self.backend!r}")
 
-    def edge_tension(self, edge: int) -> float:
-        return self.per_edge_tension.get(edge, self.tension)
-
-    def edge_curl(self, edge: int) -> float:
-        return self.per_edge_curl.get(edge, self.curl)
-
 
 def _vertex_positions(
-    h: Hypergraph, loop: Loop, cfg: LayoutConfig
+    h: Hypergraph, loop: Loop
 ) -> dict[int, tuple[float, float]]:
     n = loop.size
-    r = cfg.radius
     corners = [
         (
-            r * math.cos(2 * math.pi * i / n - math.pi / 2),
-            r * math.sin(2 * math.pi * i / n - math.pi / 2),
+            RADIUS * math.cos(2 * math.pi * i / n - math.pi / 2),
+            RADIUS * math.sin(2 * math.pi * i / n - math.pi / 2),
         )
         for i in range(n)
     ]
@@ -71,12 +65,12 @@ def _vertex_positions(
     # free vertices on interior vertical lines, off-centre
     free = [v for v in range(h.num_vertices) if v not in pos]
     if free:
-        ncols = (len(free) + cfg.max_per_column - 1) // cfg.max_per_column
+        ncols = (len(free) + MAX_PER_COLUMN - 1) // MAX_PER_COLUMN
         for idx, v in enumerate(free):
-            col, row = divmod(idx, cfg.max_per_column)
-            in_col = min(cfg.max_per_column, len(free) - col * cfg.max_per_column)
-            x = (col - (ncols - 1) / 2 + 0.25) * cfg.column_spacing
-            y = (row - (in_col - 1) / 2) * cfg.column_spacing
+            col, row = divmod(idx, MAX_PER_COLUMN)
+            in_col = min(MAX_PER_COLUMN, len(free) - col * MAX_PER_COLUMN)
+            x = (col - (ncols - 1) / 2 + 0.25) * COLUMN_SPACING
+            y = (row - (in_col - 1) / 2) * COLUMN_SPACING
             pos[v] = (x, y)
     return pos
 
@@ -123,7 +117,7 @@ def _fmt(x: float) -> str:
 def emit_layout(h: Hypergraph, loop: Loop, cfg: LayoutConfig) -> str:
     """Render drawing source text for the chosen backend."""
     cls = classify_edges(h, loop)
-    pos = _vertex_positions(h, loop, cfg)
+    pos = _vertex_positions(h, loop)
     polygon_segments = []
     n = loop.size
     for i, ei in enumerate(loop.edges):
@@ -133,16 +127,14 @@ def emit_layout(h: Hypergraph, loop: Loop, cfg: LayoutConfig) -> str:
     curves = []
     for ei in sorted(cls.free | cls.span):
         pts = [pos[v] for v in h.edges[ei]]
-        curves.append(
-            (ei, _bezier_chain(pts, cfg.edge_tension(ei), cfg.edge_curl(ei)))
-        )
+        curves.append((ei, _bezier_chain(pts, cfg.tension, cfg.curl)))
     if cfg.backend == "svg":
-        return _emit_svg(h, pos, polygon_segments, curves, cfg)
-    return _emit_asymptote(h, pos, polygon_segments, curves, cfg)
+        return _emit_svg(h, pos, polygon_segments, curves)
+    return _emit_asymptote(h, pos, polygon_segments, curves)
 
 
-def _emit_svg(h, pos, polygon_segments, curves, cfg) -> str:
-    size = cfg.radius * 2.4
+def _emit_svg(h, pos, polygon_segments, curves) -> str:
+    size = RADIUS * 2.4
     half = size / 2
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(size)}" '
@@ -180,8 +172,8 @@ def _emit_svg(h, pos, polygon_segments, curves, cfg) -> str:
     return "\n".join(out) + "\n"
 
 
-def _emit_asymptote(h, pos, polygon_segments, curves, cfg) -> str:
-    out = ["size(%s);" % _fmt(cfg.radius * 2.4)]
+def _emit_asymptote(h, pos, polygon_segments, curves) -> str:
+    out = ["size(%s);" % _fmt(RADIUS * 2.4)]
     for v in range(h.num_vertices):
         x, y = pos[v]
         out.append(f"pair v{v} = ({_fmt(x)},{_fmt(y)});")

@@ -182,14 +182,14 @@ def reg_inc_beta(x, a, b, digits: int = DEFAULT_DIGITS):
             return mp.mpf(0)
         if x >= 1:
             return mp.mpf(1)
-        front = mp.exp(
-            a * mp.log(x)
-            + b * mp.log1p(-x)
-            - mp.log(a)
-            - mp.log(mp.beta(a, b))
-        )
         # symmetry switch keeps the continued fraction in its fast region
         if x < a / (a + b):
+            front = mp.exp(
+                a * mp.log(x)
+                + b * mp.log1p(-x)
+                - mp.log(a)
+                - mp.log(mp.beta(a, b))
+            )
             return front * _beta_cf(a, b, x, digits)
         front_sym = mp.exp(
             b * mp.log1p(-x)

@@ -259,6 +259,8 @@ def sample_subsets(
     n = h.num_edges
     if k > n:
         raise ValueError(f"cannot remove {k} of {n} edges")
+    if count < 0:
+        raise ValueError(f"count must be at least 0, got {count}")
     rng = rng_for(seed, stream=2)
     for _ in range(count):
         drop = set(rng.sample(range(n), k))

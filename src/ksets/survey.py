@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 from math import isfinite
 from pathlib import Path
 from sys import float_info
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .canon import dedupe_isomorphic, edge_orbits
 from .cell600 import build_600cell
@@ -208,24 +208,6 @@ class StageResult:
             if keys:
                 raise ValueError(f"{problem} fields {', '.join(sorted(keys))}")
         return StageResult(**data)
-
-
-def survey_aggregate(records: Iterable[StageResult]) -> tuple[str, dict]:
-    """Render stage records as a tab-separated table with one column per
-    field and one row per edge count, ascending, plus plot data: one list
-    per field in the same order.  Exactly one record per edge count is
-    allowed."""
-    by_edges: dict[int, StageResult] = {}
-    for r in records:
-        if r.edges in by_edges:
-            raise ValueError(f"duplicate record for {r.edges} edges")
-        by_edges[r.edges] = r
-    rows = [by_edges[b].__dict__ for b in sorted(by_edges)]
-    names = [f.name for f in fields(StageResult)]
-    lines = ["\t".join(names)]
-    lines += ["\t".join(str(r[n]) for n in names) for r in rows]
-    plot = {n: [r[n] for r in rows] for n in names}
-    return "\n".join(lines) + "\n", plot
 
 
 def calibrate_increment(sample: Sequence[Hypergraph], target: int) -> float:

@@ -12,7 +12,6 @@ from ksets.canon import (
     _partition,
     _refine,
     _weights,
-    are_isomorphic,
     canonical_form,
     canonical_labeling,
     dedupe_isomorphic,
@@ -417,17 +416,8 @@ def test_invariance_under_relabeling(h, seed):
 @settings(max_examples=60, deadline=None)
 @given(small_hypergraphs(), small_hypergraphs())
 def test_matches_permutation_oracle(h1, h2):
-    ours = are_isomorphic(h1, h2) is not None
+    ours = canonical_form(h1) == canonical_form(h2)
     assert ours == oracle_isomorphic(h1, h2)
-
-
-@settings(max_examples=80, deadline=None)
-@given(small_hypergraphs(), st.integers(min_value=0, max_value=2**32))
-def test_mapping_self_verifies(h, seed):
-    h2 = relabeled(h, random.Random(seed))
-    mapping = are_isomorphic(h, h2)
-    assert mapping is not None
-    assert mapping.verifies(h, h2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -454,7 +444,7 @@ def test_corpus_relabeling_invariance():
 def test_corpus_entries_pairwise_nonisomorphic():
     # same-signature corpus entries are distinct sets
     for a, b in (("49-28", "47-28"), ("50-30", "49-30"), ("54-34", "53-34")):
-        assert are_isomorphic(load(a), load(b)) is None
+        assert canonical_form(load(a)) != canonical_form(load(b))
 
 
 def test_dedupe_keeps_first_appearance():
@@ -478,10 +468,6 @@ def test_labeling_produces_certificate():
         + "."
     )
     assert cert.text == expected
-
-
-def test_vertex_count_mismatch_fast_path():
-    assert are_isomorphic(parse_mmp("123."), parse_mmp("1234.")) is None
 
 
 def test_stored_automorphism_swaps_repeated_edges():

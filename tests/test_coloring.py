@@ -18,7 +18,6 @@ from ksets.coloring import (
     is_colorable,
     is_critical,
     is_ks,
-    verdict,
 )
 from ksets.corpus import load, load_all
 from ksets.mmp import hypergraph_from_edges, parse_mmp
@@ -112,10 +111,8 @@ def test_parity_requires_even_degrees():
 
 
 def test_600cell_is_ks_not_critical(h75):
-    v = verdict(h75)
-    assert not v.colorable
-    assert v.critical is False  # it has redundant edges
-    assert not v.parity  # even vertex degrees but 75 is odd -> check degrees
+    assert classify(h75) == KS  # KS, but it has redundant edges
+    assert not has_parity_proof(h75)  # 75 edges is odd, so check degrees
     # degree of every ray is 5 (odd), so the parity argument cannot apply
     assert set(h75.vertex_degrees()) == {5}
 
@@ -125,13 +122,6 @@ def test_critical_means_every_residual_colorable():
     assert is_critical(h)
     for i in range(h.num_edges):
         assert is_colorable(h.without_edge(i))[0]
-
-
-def test_verdict_fields():
-    v = verdict(parse_mmp("123,345,561."))
-    assert v.colorable and v.critical is None and v.witness.is_valid_for(
-        parse_mmp("123,345,561.")
-    )
 
 
 def reference_kind(h):
@@ -149,11 +139,10 @@ def reference_kind(h):
 def check_verdict(h):
     kind = reference_kind(h)
     assert classify(h) == kind
-    v = verdict(h)
-    assert v.colorable == (kind == COLORABLE)
-    assert v.critical == (None if v.colorable else kind == CRITICAL)
-    if v.colorable:
-        assert v.witness.is_valid_for(h)
+    colorable, witness = is_colorable(h)
+    assert colorable == (kind == COLORABLE)
+    if colorable:
+        assert witness.is_valid_for(h)
     return kind
 
 
@@ -246,40 +235,37 @@ def test_proof_order_agrees_with_the_removal_loop(gf2_free):
 
 
 def test_witnesses_on_gf2_free_subsets_are_pinned(gf2_free, monkeypatch):
-    # SHA-256 of the is_colorable and verdict witnesses as index-order
-    # search finds them, one line per set; 15 colorable sets reach the
-    # whole-set solve of classify and are solved again in index order
+    # SHA-256 of the is_colorable witnesses as index-order search finds
+    # them, one line per set, and of each set's kind and parity proof; 15
+    # colorable sets reach the whole-set solve of classify
     calls = count_solves(monkeypatch)
-    colorable = verdicts = ""
+    colorable = kinds = ""
     resolved = 0
     for h in gf2_free:
         ok, witness = is_colorable(h)
         colorable += f"{ok} {sorted(witness.ones) if witness else None}\n"
         calls.clear()
-        v = verdict(h)
-        resolved += v.colorable and len(calls) == 3
-        ones = sorted(v.witness.ones) if v.witness else None
-        verdicts += f"{v.colorable} {ones} {v.critical} {v.parity}\n"
+        kind = classify(h)
+        resolved += kind == COLORABLE and len(calls) == 2
+        kinds += f"{kind} {has_parity_proof(h)}\n"
     assert resolved == 15
     assert hashlib.sha256(colorable.encode()).hexdigest() == (
         "1ea3e5d3955b95a26b63d3b4d69c848bc61c2dde35f0c5b6a138232e2eb64141"
     )
-    assert hashlib.sha256(verdicts.encode()).hexdigest() == (
-        "915c9be85b4ca7857f7df82a71f476a25f89a3361dae62457725467408963991"
+    assert hashlib.sha256(kinds.encode()).hexdigest() == (
+        "46a7f058a0776f8d85f89520d2a16edf1c1edf7d02bc94080495eefd2a6ec98c"
     )
 
 
 def test_classify_solves_a_colorable_set_twice(gf2_free, monkeypatch):
-    # h - e0 and then h in proof order; only verdict solves a third time,
-    # in index order, for the witness
+    # h - e0, and then h in proof order when the coloring of h - e0 does
+    # not color h
     calls = count_solves(monkeypatch)
     resolved = 0
     for h in gf2_free:
         calls.clear()
-        if not (verdict(h).colorable and len(calls) == 3):
+        if classify(h) != COLORABLE or len(calls) == 1:
             continue
-        calls.clear()
-        assert classify(h) == COLORABLE
         assert len(calls) == 2
         resolved += 1
     assert resolved == 15
@@ -288,8 +274,7 @@ def test_classify_solves_a_colorable_set_twice(gf2_free, monkeypatch):
 def test_verdict_solve_count_is_bounded(h75, monkeypatch):
     calls = count_solves(monkeypatch)
     h = load("38-19")
-    v = verdict(h)
-    assert not v.colorable and v.critical is True and v.parity
+    assert classify(h) == CRITICAL and has_parity_proof(h)
     assert len(calls) <= 2 + h.num_edges
     # a KS set whose first removal is KS costs that one solve
     calls.clear()

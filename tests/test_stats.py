@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-from dataclasses import fields
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, inf, nan
@@ -22,7 +21,7 @@ from ksets.stats import (
     reg_inc_beta,
     reg_inc_beta_inv,
 )
-from ksets.survey import StageResult, survey_aggregate
+from ksets.survey import StageResult
 
 
 def test_binomial_exact():
@@ -329,21 +328,3 @@ def test_survey_record_invariants():
     for line in ("[70]", '"edges"', "null"):
         with pytest.raises(ValueError, match="not a JSON object"):
             StageResult.from_json(line)
-
-
-def test_survey_aggregate_table_and_duplicates():
-    rows = [
-        StageResult(74, 1, 75, 75, 75, 1, 1, 0, 0, 0.02),
-        StageResult(73, 1, 74, 74, 74, 4, 4, 0, 0, 0.03),
-        StageResult(72, 4, 292, 292, 292, 19, 19, 0, 0, 0.5),
-    ]
-    table, plot = survey_aggregate(rows)
-    lines = [line.split("\t") for line in table.splitlines()]
-    assert lines[0] == [f.name for f in fields(StageResult)]
-    assert [line[0] for line in lines[1:]] == ["72", "73", "74"]
-    assert table.splitlines()[1] == "72\t4\t292\t292\t292\t19\t19\t0\t0\t0.5"
-    assert plot["edges"] == [72, 73, 74]
-    assert plot["non_isomorphic"] == [19, 4, 1]
-    assert plot["seconds"] == [0.5, 0.03, 0.02]
-    with pytest.raises(ValueError, match="duplicate record for 74 edges"):
-        survey_aggregate(rows + [rows[0]])

@@ -184,6 +184,12 @@ def test_sample_subsets_deterministic():
         assert s.num_edges == 4
 
 
+def test_sample_subsets_refuses_a_negative_count():
+    assert list(sample_subsets(H6, 2, 0, SamplerSeed(1))) == []
+    with pytest.raises(ValueError, match="count must be at least 0, got -3"):
+        list(sample_subsets(H6, 2, -3, SamplerSeed(1)))
+
+
 def test_rng_streams_independent():
     seed = SamplerSeed(1)
     r0 = rng_for(seed, 0).random()
