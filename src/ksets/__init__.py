@@ -48,7 +48,6 @@ from .mmp import (
 from .stats import (
     ConfidenceInterval,
     CouponEstimate,
-    binomial,
     confidence_bounds,
     coupon_mle,
     reg_inc_beta,

@@ -1,6 +1,5 @@
-"""Survey estimators: exact binomials, coupon-collector class-count MLE,
-and Bernoulli confidence bounds from the inverse regularized incomplete
-beta function.
+"""Survey estimators: coupon-collector class-count MLE and Bernoulli
+confidence bounds from the inverse regularized incomplete beta function.
 
 All non-integer work runs in arbitrary-precision decimal floating point
 (mpmath) with the working precision passed per call; the coupon inequality
@@ -9,15 +8,17 @@ answers below 35 significant digits, so that floor is enforced.  The
 incomplete beta is a Lentz continued fraction rather than
 ``mpmath.betainc``: mpmath 1.3's ``betainc`` sums an alternating series
 that cancels about b*log2(1/(1-x)) bits, so it raises once a confidence
-bound has more than a few thousand hits.  mpmath is imported by the
-estimators themselves, on their first call, so importing this module (or
-the package) does not load it.
+bound has more than a few thousand hits.  The incomplete beta is
+evaluated at GUARD_DIGITS more digits than asked and rounded once, so the
+fraction's stopping error stays below the last asked digit.  mpmath is
+imported by the estimators themselves, on their first call, so importing
+this module (or the package) does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, inf
+from math import inf
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -26,6 +27,7 @@ if TYPE_CHECKING:
 MIN_DIGITS = 35
 DEFAULT_DIGITS = 100
 COUPON_CAP = 10**30
+GUARD_DIGITS = 10
 
 
 class PrecisionError(ValueError):
@@ -55,13 +57,6 @@ def _check_shapes(a, b) -> None:
         raise ValueError("shape parameters must be positive finite numbers")
 
 
-def binomial(n: int, k: int) -> int:
-    """Exact C(n, k)."""
-    if not 0 <= k <= n:
-        raise ValueError(f"k={k} outside 0..{n}")
-    return comb(n, k)
-
-
 @dataclass(frozen=True)
 class CouponEstimate:
     """MLE of the total class count from a with-replacement sample.
@@ -74,7 +69,6 @@ class CouponEstimate:
     samples: int
     distinct: int
     classes: int | None
-    cap: int = COUPON_CAP
 
     @property
     def unbounded(self) -> bool:
@@ -82,7 +76,7 @@ class CouponEstimate:
 
     def __str__(self) -> str:
         if self.classes is None:
-            return f"unbounded (no maximum below {self.cap:.1e})"
+            return f"unbounded (no maximum below {COUPON_CAP:.1e})"
         return str(self.classes)
 
 
@@ -142,25 +136,20 @@ def _beta_cf(a, b, x, digits: int):
     h = d
     for m in range(1, 20000):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1 / d
-        delta = d * c
-        h *= delta
+        # the even then the odd partial numerator of step m
+        for aa in (
+            m * (b - m) * x / ((qam + m2) * (a + m2)),
+            -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)),
+        ):
+            d = 1 + aa * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1 + aa / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1) < eps:
             return h
     raise ConvergenceError(
@@ -173,7 +162,7 @@ def reg_inc_beta(x, a, b, digits: int = DEFAULT_DIGITS):
     """I_x(a, b), the regularized incomplete beta function."""
     import mpmath as mp
     _check_digits(digits)
-    with mp.workdps(digits):
+    with mp.workdps(digits + GUARD_DIGITS):
         x, a, b = mp.mpf(x), mp.mpf(a), mp.mpf(b)
         _check_shapes(a, b)
         if mp.isnan(x):
@@ -182,22 +171,19 @@ def reg_inc_beta(x, a, b, digits: int = DEFAULT_DIGITS):
             return mp.mpf(0)
         if x >= 1:
             return mp.mpf(1)
-        # symmetry switch keeps the continued fraction in its fast region
-        if x < a / (a + b):
-            front = mp.exp(
-                a * mp.log(x)
-                + b * mp.log1p(-x)
-                - mp.log(a)
-                - mp.log(mp.beta(a, b))
-            )
-            return front * _beta_cf(a, b, x, digits)
-        front_sym = mp.exp(
-            b * mp.log1p(-x)
-            + a * mp.log(x)
-            - mp.log(b)
+        # I_x(a, b) = 1 - I_{1-x}(b, a) keeps the fraction in its fast region
+        flip = x >= a / (a + b)
+        p, q, y = (b, a, 1 - x) if flip else (a, b, x)
+        front = mp.exp(
+            p * mp.log(y)
+            + q * mp.log1p(-y)
+            - mp.log(p)
             - mp.log(mp.beta(a, b))
         )
-        return 1 - front_sym * _beta_cf(b, a, 1 - x, digits)
+        tail = front * _beta_cf(p, q, y, digits + GUARD_DIGITS)
+        value = 1 - tail if flip else tail
+    with mp.workdps(digits):
+        return +value
 
 
 def reg_inc_beta_inv(p, a, b, digits: int = DEFAULT_DIGITS):
@@ -230,12 +216,13 @@ def reg_inc_beta_inv(p, a, b, digits: int = DEFAULT_DIGITS):
                 - mp.log(mp.beta(a, b))
             )
             step = fx * mp.exp(-logpdf)
-            nx = x - step
-            if not lo < nx < hi:
-                nx = (lo + hi) / 2
-            if abs(nx - x) <= abs(x) * mp.mpf(10) ** (-(digits - 5)):
-                return nx
-            x = nx
+            # tested before the clamp, which would restart bisection from
+            # a converged x when the step is below x's last digit
+            if abs(step) <= abs(x) * mp.mpf(10) ** (-(digits - 5)):
+                return x - step
+            x = x - step
+            if not lo < x < hi:
+                x = (lo + hi) / 2
         raise ConvergenceError(
             f"incomplete beta inverse did not converge (p={p}, a={a}, b={b})"
         )

@@ -304,8 +304,8 @@ def run_survey(cfg: SurveyConfig) -> Iterator[StageResult]:
     Every stage writes its survivors, criticals, and record before the next
     begins; stages whose files already exist are loaded, not recomputed, so
     an interrupted run resumes where it stopped.  A loaded record must
-    agree with the line counts of its survivors and criticals.  All randomness derives
-    from cfg.seed.
+    follow the stage before it and count its archives' sets, each of the
+    stage's edge count.  All randomness derives from cfg.seed.
     """
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -314,7 +314,6 @@ def run_survey(cfg: SurveyConfig) -> Iterator[StageResult]:
     for edges in range(start.num_edges - 1, cfg.min_edges - 1, -1):
         mmp_path, crit_path, json_path = _stage_paths(out, edges)
         if mmp_path.exists() and json_path.exists():
-            survivors = read_mmp_file(mmp_path)
             try:
                 result = StageResult.from_json(
                     json_path.read_text(errors="surrogateescape")
@@ -325,21 +324,34 @@ def run_survey(cfg: SurveyConfig) -> Iterator[StageResult]:
                 raise ValueError(
                     f"{json_path}: record for {result.edges} edges"
                 )
+            if result.inputs != len(survivors):
+                raise ValueError(
+                    f"{json_path}: inputs {result.inputs} disagrees with the "
+                    f"{len(survivors)} survivors of the stage before it"
+                )
+            survivors = read_mmp_file(mmp_path)
             if result.ks != len(survivors):
                 raise ValueError(
                     f"{json_path}: ks {result.ks} disagrees with the "
                     f"{len(survivors)} lines of {mmp_path.name}"
                 )
             try:
-                found = len(read_mmp_file(crit_path))
+                criticals = read_mmp_file(crit_path)
             except OSError as exc:
                 raise ValueError(f"{crit_path}: {exc.strerror}") from exc
             want = result.criticals_odd + result.criticals_even
-            if found != want:
+            if len(criticals) != want:
                 raise ValueError(
-                    f"{crit_path}: {found} lines disagree with the {want} "
-                    f"criticals of {json_path.name}"
+                    f"{crit_path}: {len(criticals)} lines disagree with the "
+                    f"{want} criticals of {json_path.name}"
                 )
+            for path, hs in ((mmp_path, survivors), (crit_path, criticals)):
+                for h in hs:
+                    if h.num_edges != edges:
+                        raise ValueError(
+                            f"{path}: a set of {h.num_edges} edges in a "
+                            f"stage of {edges}"
+                        )
             yield result
             continue
         if not survivors:

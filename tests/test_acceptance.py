@@ -7,17 +7,12 @@ import mpmath as mp
 import pytest
 
 from ksets.canon import dedupe_isomorphic
-from ksets.cell600 import build_600cell, inner_product
+from ksets.cell600 import inner_product
 from ksets.coloring import has_parity_proof, is_colorable, is_critical, is_ks
 from ksets.corpus import LOOP_SIZES, load, load_all
 from ksets.loops import biggest_loop
 from ksets.mmp import is_connected, validate_mmp
-from ksets.stats import (
-    binomial,
-    confidence_bounds,
-    coupon_mle,
-    reg_inc_beta_inv,
-)
+from ksets.stats import confidence_bounds, coupon_mle, reg_inc_beta_inv
 from ksets.strip import StripPlan, enumerate_subsets, strip_one_each
 
 

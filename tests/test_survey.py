@@ -514,6 +514,37 @@ def test_resumed_record_with_an_undecodable_byte_names_its_line(tmp_path):
     )
 
 
+def test_resumed_record_must_follow_the_stage_before_it(tmp_path):
+    cfg = SurveyConfig(increment=1, min_edges=72, output_dir=tmp_path)
+    assert [r.inputs for r in run_survey(cfg)] == [1, 1, 4]
+    record = tmp_path / "edges-72.json"
+    record.write_text(record.read_text().replace('"inputs": 4', '"inputs": 9'))
+    with pytest.raises(ValueError) as err:
+        list(run_survey(cfg))
+    assert str(err.value) == (
+        f"{record}: inputs 9 disagrees with the 4 survivors of the stage "
+        "before it"
+    )
+
+
+@pytest.mark.parametrize("name", ["edges-73.mmp", "edges-73.criticals.mmp"])
+def test_resumed_archive_lines_must_have_the_stage_edge_count(tmp_path, name):
+    cfg = SurveyConfig(increment=1, min_edges=72, output_dir=tmp_path)
+    list(run_survey(cfg))
+    # four 72-edge sets where the four 73-edge survivors belong
+    sets72 = (tmp_path / "edges-72.mmp").read_text().splitlines()[:4]
+    archive = tmp_path / name
+    archive.write_text("\n".join(sets72) + "\n")
+    if name == "edges-73.criticals.mmp":
+        # a record that counts them, so only their edge count is wrong
+        record = tmp_path / "edges-73.json"
+        old, new = '"criticals_odd": 0', '"criticals_odd": 4'
+        record.write_text(record.read_text().replace(old, new))
+    with pytest.raises(ValueError) as err:
+        list(run_survey(cfg))
+    assert str(err.value) == f"{archive}: a set of 72 edges in a stage of 73"
+
+
 def test_min_edges_must_be_below_the_start_edge_count(tmp_path):
     h = load("38-19")
     assert SurveyConfig(start=h, min_edges=18).min_edges == 18
