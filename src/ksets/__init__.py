@@ -34,7 +34,6 @@ from .mmp import (
     Hypergraph,
     LENIENT,
     MmpError,
-    ParseOptions,
     STRICT,
     hypergraph_from_edges,
     is_connected,

@@ -49,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator, Sequence
 
-from .mmp import Hypergraph, parse_mmp, vertex_to_chars
+from .mmp import Hypergraph, vertex_to_chars
 
 
 @dataclass(frozen=True)
@@ -57,9 +57,6 @@ class CanonicalForm:
     """Canonical MMP serialization; equality is isomorphism."""
 
     text: str
-
-    def to_hypergraph(self) -> Hypergraph:
-        return parse_mmp(self.text)
 
 
 def _partition(colors: Sequence) -> tuple[list[int], dict[int, list[int]]]:

@@ -22,6 +22,7 @@ from .mmp import (
     LENIENT,
     Hypergraph,
     MmpError,
+    parse_mmp,
     read_mmp_file,
     vertex_to_chars,
     write_mmp_file,
@@ -32,7 +33,7 @@ from .stats import (
     confidence_bounds,
     coupon_mle,
 )
-from .strip import SamplerSeed, StripPlan, enumerate_subsets
+from .strip import StripPlan, enumerate_subsets
 from .survey import ConfigError, StageResult, parse_config, run_survey
 
 # an input that names a directory is a usage error, not a traceback
@@ -136,7 +137,7 @@ def strip(infile, k, window, increment, randomized, seed, connected_only,
         selection_mode="randomized" if randomized else "uniform",
         connectivity_filter=connected_only,
         renormalize_output=renorm,
-        seed=SamplerSeed(seed),
+        seed=seed,
     )
     count = write_mmp_file(
         outfile, (child for h in hs for child in enumerate_subsets(h, plan))
@@ -161,7 +162,7 @@ def canon(infile, outfile, mapping):
             )
             click.echo(f"# {i}: {perm}")
     forms = dict.fromkeys(form for form, _ in labelings)
-    count = write_mmp_file(outfile, (c.to_hypergraph() for c in forms))
+    count = write_mmp_file(outfile, (parse_mmp(c.text) for c in forms))
     click.echo(f"{len(hs)} inputs, {count} isomorphism classes")
 
 

@@ -59,20 +59,8 @@ def chars_to_vertex(token: str) -> int:
     return plus * _BASE + _CHAR_INDEX[ch]
 
 
-@dataclass(frozen=True)
-class ParseOptions:
-    """Parsing strictness.
-
-    In lenient mode, empty edge tokens (doubled commas) are skipped and a
-    missing final '.' is accepted.  Strict mode rejects any deviation from
-    the grammar.
-    """
-
-    lenient: bool = False
-
-
-STRICT = ParseOptions(lenient=False)
-LENIENT = ParseOptions(lenient=True)
+# values of the parsers' ``lenient`` flag
+STRICT, LENIENT = False, True
 
 
 @dataclass(frozen=True)
@@ -184,8 +172,12 @@ class Hypergraph:
         )
 
 
-def parse_mmp(text: str, opts: ParseOptions = STRICT) -> Hypergraph:
+def parse_mmp(text: str, lenient: bool = STRICT) -> Hypergraph:
     """Parse one MMP line into a Hypergraph.
+
+    With ``lenient``, empty edge tokens (doubled commas) are skipped and a
+    missing final '.' is accepted; strict parsing rejects any deviation
+    from the grammar.
 
     Distinct characters are mapped to dense vertex ids in character-sequence
     order, so gaps in the character usage are closed on input while a
@@ -198,7 +190,7 @@ def parse_mmp(text: str, opts: ParseOptions = STRICT) -> Hypergraph:
         raise MmpError("MMP lines contain no spaces")
     if line.endswith("."):
         body = line[:-1]
-    elif opts.lenient:
+    elif lenient:
         body = line
     else:
         raise MmpError("missing final '.'")
@@ -209,7 +201,7 @@ def parse_mmp(text: str, opts: ParseOptions = STRICT) -> Hypergraph:
     raw_edges: list[tuple[int, ...]] = []
     for pos, tok in enumerate(tokens):
         if not tok:
-            if opts.lenient:
+            if lenient:
                 continue
             raise MmpError(f"empty edge token at position {pos}")
         edge = tuple(_split_vertices(tok))
@@ -240,9 +232,7 @@ def _split_vertices(token: str) -> Iterator[int]:
 def serialize_mmp(h: Hypergraph) -> str:
     """Serialize to the interchange line form; inverse of parse_mmp for
     gap-free inputs."""
-    return (
-        ",".join("".join(vertex_to_chars(v) for v in e) for e in h.edges) + "."
-    )
+    return ",".join(["".join(map(vertex_to_chars, e)) for e in h.edges]) + "."
 
 
 def renormalize(h: Hypergraph) -> Hypergraph:
@@ -351,7 +341,7 @@ def validate_mmp(h: Hypergraph) -> list[Violation]:
 
 
 def read_mmp_file(
-    path: str | os.PathLike, opts: ParseOptions = STRICT
+    path: str | os.PathLike, lenient: bool = STRICT
 ) -> list[Hypergraph]:
     """Parse and validate every non-blank line of an MMP file.
 
@@ -366,7 +356,7 @@ def read_mmp_file(
         if not line.strip():
             continue
         try:
-            h = parse_mmp(line, opts)
+            h = parse_mmp(line, lenient)
         except MmpError as exc:
             raise MmpError(f"{path}:{ln}: {exc}") from None
         violations = validate_mmp(h)

@@ -201,6 +201,11 @@ def reg_inc_beta_inv(p, a, b, digits: int = DEFAULT_DIGITS):
         _check_shapes(a, b)
         lo, hi = mp.mpf(0), mp.mpf(1)
         x = a / (a + b)
+        if a < 1:
+            # I_x(a, b) ~ x^a / (a*B(a, b)) as x -> 0: start from that
+            # root, since from the mean Newton steps past 0 and bisection
+            # takes log2(1/x) halvings to reach a root like 10^-393
+            x = min(x, (p * a * mp.beta(a, b)) ** (1 / a))
         for _ in range(max(digits * 4, 200)):
             fx = reg_inc_beta(x, a, b, digits) - p
             if fx == 0:

@@ -17,27 +17,25 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb, isfinite
 from typing import Iterable, Iterator
 
 from .mmp import Hypergraph, is_connected, renormalize, serialize_mmp
 
 
-@dataclass(frozen=True)
-class SamplerSeed:
-    """A 64-bit seed; identical seeds produce identical sample streams."""
-
-    seed: int
+# a run seed is a plain int; the name stays for callers that spell it
+SamplerSeed = int
 
 
-def rng_for(seed: SamplerSeed, stream: int = 0) -> random.Random:
+def rng_for(seed: int, stream: int = 0) -> random.Random:
     """Deterministic per-stream generator.
 
-    Streams are derived by hashing (seed, stream index) so parallel workers
-    get independent, reproducible randomness from one run seed.
+    Streams are derived by hashing (seed, stream index), so each consumer
+    of one run seed (thinning, one-edge thinning, sampling) gets its own
+    independent, reproducible randomness.
     """
-    digest = hashlib.sha256(f"{seed.seed}:{stream}".encode()).digest()
+    digest = hashlib.sha256(f"{seed}:{stream}".encode()).digest()
     return random.Random(int.from_bytes(digest[:16], "big"))
 
 
@@ -61,7 +59,7 @@ class StripPlan:
     selection_mode: str = "uniform"  # "uniform" | "randomized"
     connectivity_filter: bool = False
     renormalize_output: bool = True
-    seed: SamplerSeed = field(default_factory=lambda: SamplerSeed(0))
+    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.k < 0:
@@ -252,7 +250,7 @@ def strip_one_each(
 
 
 def sample_subsets(
-    h: Hypergraph, k: int, count: int, seed: SamplerSeed
+    h: Hypergraph, k: int, count: int, seed: int = 0
 ) -> Iterator[Hypergraph]:
     """``count`` uniform random k-edge-removal subsets, with replacement
     across samples; a pure function of (h, k, count, seed)."""

@@ -15,7 +15,7 @@ import logging
 import os
 import time
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from math import isfinite
 from pathlib import Path
 from sys import float_info
@@ -38,7 +38,7 @@ from .mmp import (
     serialize_mmp,
     write_mmp_file,
 )
-from .strip import SELECTION_MODES, SamplerSeed, StripPlan, one_edge_children
+from .strip import SELECTION_MODES, StripPlan, one_edge_children
 
 log = logging.getLogger(__name__)
 
@@ -68,7 +68,7 @@ class SurveyConfig:
     min_edges: int = 0
     increment: float | None = None
     selection_mode: str = "uniform"
-    seed: SamplerSeed = field(default_factory=lambda: SamplerSeed(0))
+    seed: int = 0
     workers: int = 1
     output_dir: Path = Path("survey-out")
 
@@ -94,9 +94,6 @@ class SurveyConfig:
                 f"mode must be one of {', '.join(SELECTION_MODES)}, "
                 f"got {self.selection_mode!r}"
             )
-
-    def start_hypergraph(self) -> Hypergraph:
-        return self.start if self.start is not None else build_600cell().hypergraph
 
 
 def parse_config(text: str, base_dir: Path | None = None) -> SurveyConfig:
@@ -137,7 +134,7 @@ def parse_config(text: str, base_dir: Path | None = None) -> SurveyConfig:
         if "mode" in values:
             kwargs["selection_mode"] = values["mode"]
         if "seed" in values:
-            kwargs["seed"] = SamplerSeed(int(values["seed"]))
+            kwargs["seed"] = int(values["seed"])
         if "workers" in values:
             kwargs["workers"] = int(values["workers"])
         if "out" in values:
@@ -256,7 +253,7 @@ def run_stage(
         k=1,
         increment=increment,
         selection_mode=cfg.selection_mode,
-        seed=SamplerSeed(cfg.seed.seed + edges),
+        seed=cfg.seed + edges,
     )
     # one_edge_children thins per the plan and removes exact duplicates
     children = list(one_edge_children(inputs, plan))
@@ -309,7 +306,7 @@ def run_survey(cfg: SurveyConfig) -> Iterator[StageResult]:
     """
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    start = cfg.start_hypergraph()
+    start = cfg.start if cfg.start is not None else build_600cell().hypergraph
     survivors = [start]
     for edges in range(start.num_edges - 1, cfg.min_edges - 1, -1):
         mmp_path, crit_path, json_path = _stage_paths(out, edges)

@@ -424,7 +424,7 @@ def test_matches_permutation_oracle(h1, h2):
 @given(small_hypergraphs())
 def test_canonical_form_idempotent(h):
     c = canonical_form(h)
-    assert canonical_form(c.to_hypergraph()) == c
+    assert canonical_form(parse_mmp(c.text)) == c
 
 
 def test_canonical_form_is_valid_mmp():

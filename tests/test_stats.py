@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -143,6 +144,22 @@ def test_beta_inverse_that_cannot_converge_raises(monkeypatch):
 def test_beta_inverse_round_trip(p, a, b):
     x = reg_inc_beta_inv(p, a, b, digits=50)
     assert abs(reg_inc_beta(x, a, b, digits=50) - p) < mp.mpf(10) ** -35
+
+
+def test_beta_inverse_reaches_tiny_roots_for_small_a():
+    # for a < 1 and a small p the root sits near (p*a*B(a, b))^(1/a),
+    # 10^-393 and 10^-134 for the first two cases: bisection from the
+    # bracket [0, 1] cannot get there within its iteration cap
+    rng = random.Random(7)
+    cases = [(0.000114, 0.01, 0.326), (2.1e-09, 0.0657, 26.7)]
+    for _ in range(40):
+        p = 10 ** -rng.uniform(1, 300)
+        cases.append((p, rng.uniform(0.01, 1), 10 ** rng.uniform(-2, 8)))
+    with mp.workdps(35):
+        for p, a, b in cases:
+            x = reg_inc_beta_inv(p, a, b, digits=35)
+            err = abs(reg_inc_beta(x, a, b, digits=35) - p)
+            assert err <= p * mp.mpf(10) ** -30, (p, a, b)
 
 
 def test_beta_edge_values_and_validation():
