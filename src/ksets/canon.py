@@ -198,7 +198,7 @@ class _CanonSearch:
         col, cells = _partition(init)
         key = _keys(self.adj, self.w, col)
         _refine(self.adj, self.w, col, cells, key, list(cells))
-        self._search(col, cells, key, [], [])
+        self._search(col, cells, key, [])
         assert self.best is not None and self.best_vpos is not None
         return self.best, self.best_vpos
 
@@ -280,11 +280,9 @@ class _CanonSearch:
         cells: dict[int, list[int]],
         key: list[int],
         fixed: list[int],
-        gens: list[tuple[int, ...]],
     ) -> int | None:
-        """Explore the subtree below the prefix ``fixed``; ``gens``, a list
-        this call extends, holds the stored automorphisms that fix it
-        pointwise.
+        """Explore the subtree below the prefix ``fixed``; a member's orbit
+        is merged under the stored automorphisms that fix it pointwise.
 
         A leaf that an automorphism maps onto the first leaf gives one that
         fixes the two paths' common prefix and maps the leaf's branch below
@@ -302,30 +300,19 @@ class _CanonSearch:
         # only repeats explored leaves
         orbit = {x: [x] for x in members}
         merged = 0
-        checked = len(self.autos)
         explored: list[int] = []
         for node in members:
-            gens += [
-                auto
-                for auto in self.autos[checked:]
-                if all(auto[f] == f for f in fixed)
-            ]
-            checked = len(self.autos)
-            _merge_orbits(orbit, members, gens[merged:])
-            merged = len(gens)
+            new = self.autos[merged:]
+            merged = len(self.autos)
+            fixing = [a for a in new if all(a[f] == f for f in fixed)]
+            _merge_orbits(orbit, members, fixing)
             if any(orbit[e] is orbit[node] for e in explored):
                 continue
             explored.append(node)
             col2, cells2, key2 = _individualize(
                 self.adj, self.w, col, cells, key, node
             )
-            jump = self._search(
-                col2,
-                cells2,
-                key2,
-                fixed + [node],
-                [auto for auto in gens if auto[node] == node],
-            )
+            jump = self._search(col2, cells2, key2, fixed + [node])
             if jump is not None and jump < len(fixed):
                 return jump
         return None

@@ -224,6 +224,8 @@ def reg_inc_beta_inv(p, a, b, digits: int = DEFAULT_DIGITS):
             # tested before the clamp, which would restart bisection from
             # a converged x when the step is below x's last digit
             if abs(step) <= abs(x) * mp.mpf(10) ** (-(digits - 5)):
+                if not (lo <= x - step <= hi and 0 < x - step < 1):
+                    break  # the root is nearer 0 or 1 than x can hold
                 return x - step
             x = x - step
             if not lo < x < hi:

@@ -50,6 +50,8 @@ class StripPlan:
     enumeration order below.  ``increment`` >= 1 keeps one candidate in
     every ``increment`` on average: uniform mode by accumulator spacing,
     randomized mode by Bernoulli(1/increment) trials.
+    ``connectivity_filter`` and ``renormalize_output`` apply to
+    ``enumerate_subsets``; ``strip_one_each`` accepts only their defaults.
     """
 
     k: int
@@ -211,28 +213,21 @@ def enumerate_subsets(h: Hypergraph, plan: StripPlan) -> Iterator[Hypergraph]:
 
 
 def one_edge_children(
-    hs: Iterable[Hypergraph], plan: StripPlan
+    hs: Iterable[Hypergraph], increment: float, mode: str, seed: int
 ) -> Iterator[tuple[int, int, Hypergraph]]:
-    """``strip_one_each``'s children with their origins: (index of the
-    parent in ``hs``, index of the edge it strips, child)."""
-    if plan.k != 1 or plan.start is not None or plan.end is not None:
-        raise ValueError("strip_one_each needs k=1 and no rank window")
-    rng = rng_for(plan.seed, stream=1)
+    """Renormalized one-edge children of every input, thinned by
+    ``increment`` in selection ``mode``, with exact duplicates removed
+    within the batch, and their origins: (index of the parent in ``hs``,
+    index of the edge it strips, child)."""
+    rng = rng_for(seed, stream=1)
     seen: set[str] = set()
     for p, h in enumerate(hs):
-        indices = _thin(
-            iter(range(h.num_edges)), plan.increment, plan.selection_mode, rng
-        )
-        for i in indices:
-            child = h.without_edge(i)
-            norm = renormalize(child)
+        for i in _thin(iter(range(h.num_edges)), increment, mode, rng):
+            norm = renormalize(h.without_edge(i))
             key = serialize_mmp(norm)
-            if key in seen:
-                continue
-            seen.add(key)
-            if plan.connectivity_filter and not is_connected(norm):
-                continue
-            yield p, i, norm if plan.renormalize_output else child
+            if key not in seen:
+                seen.add(key)
+                yield p, i, norm
 
 
 def strip_one_each(
@@ -243,9 +238,19 @@ def strip_one_each(
 
     Each input with b edges yields up to b children (thinned per the plan's
     increment); children whose renormalized serializations coincide are
-    emitted once.  The plan must remove one edge (k=1) over no rank window.
+    emitted once, renormalized and unfiltered.  The plan must remove one
+    edge (k=1) over no rank window, with both output flags at their
+    defaults.
     """
-    for _, _, child in one_edge_children(hs, plan):
+    shape = (plan.k, plan.start, plan.end, plan.connectivity_filter)
+    if shape != (1, None, None, False) or not plan.renormalize_output:
+        raise ValueError(
+            "strip_one_each needs k=1 and no rank window, and the output"
+            " flags at their defaults"
+        )
+    for _, _, child in one_edge_children(
+        hs, plan.increment, plan.selection_mode, plan.seed
+    ):
         yield child
 
 

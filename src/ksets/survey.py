@@ -38,7 +38,7 @@ from .mmp import (
     serialize_mmp,
     write_mmp_file,
 )
-from .strip import SELECTION_MODES, StripPlan, one_edge_children
+from .strip import SELECTION_MODES, one_edge_children
 
 log = logging.getLogger(__name__)
 
@@ -247,16 +247,12 @@ def run_stage(
     if cfg.increment is not None:
         increment = cfg.increment
     else:
-        pilot = list(inputs[:100])
-        increment = calibrate_increment(pilot, cfg.target)
-    plan = StripPlan(
-        k=1,
-        increment=increment,
-        selection_mode=cfg.selection_mode,
-        seed=cfg.seed + edges,
+        increment = calibrate_increment(inputs[:100], cfg.target)
+    # one_edge_children thins and removes exact duplicates
+    stream = one_edge_children(
+        inputs, increment, cfg.selection_mode, cfg.seed + edges
     )
-    # one_edge_children thins per the plan and removes exact duplicates
-    children = list(one_edge_children(inputs, plan))
+    children = list(stream)
     kept = [(p, i, h) for p, i, h in children if is_connected(h)]
     per_parent = Counter(p for p, _, _ in kept)
     orbits: dict[int, list[int]] = {}

@@ -124,6 +124,14 @@ def test_loops_command(tmp_path):
     assert len(files) == 1
 
 
+def test_loops_reports_a_loop_free_input(tmp_path):
+    src = tmp_path / "in.mmp"
+    src.write_text("123,345,567.\n")
+    res = invoke("loops", "--in", str(src))
+    assert res.exit_code == 0
+    assert res.output == "7-3: no loop\n"
+
+
 def test_stats_commands(tmp_path):
     res = invoke("stats", "coupon", "--n", "545961", "--c", "516604")
     assert res.output.strip() == "4893025"

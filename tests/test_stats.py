@@ -162,6 +162,30 @@ def test_beta_inverse_reaches_tiny_roots_for_small_a():
             assert err <= p * mp.mpf(10) ** -30, (p, a, b)
 
 
+def test_beta_inverse_refuses_a_root_it_cannot_hold():
+    # the root is 1 - 1.7e-134, which 35 digits round to 1; the converged
+    # Newton step used to land past the bracket, at x > 1
+    with mp.workdps(35):
+        p = 1 - mp.mpf("1e-20")
+        with pytest.raises(ConvergenceError):
+            reg_inc_beta_inv(p, 0.53, 0.149, digits=35)
+
+
+def test_beta_inverse_roots_lie_inside_the_unit_interval():
+    rng = random.Random(11)
+    with mp.workdps(35):
+        for _ in range(120):
+            tiny = mp.mpf(10) ** -rng.uniform(1, 300)
+            near_one = 1 - mp.mpf(10) ** -rng.uniform(1, 30)
+            p = rng.choice((tiny, near_one, mp.mpf(rng.random())))
+            a, b = rng.uniform(0.01, 1), 10 ** rng.uniform(-2, 8)
+            try:
+                x = reg_inc_beta_inv(p, a, b, digits=35)
+            except ConvergenceError:
+                continue
+            assert 0 < x < 1, (p, a, b, x)
+
+
 def test_beta_edge_values_and_validation():
     assert reg_inc_beta(0, 2, 3) == 0
     assert reg_inc_beta(1, 2, 3) == 1

@@ -168,7 +168,13 @@ def test_strip_one_each_counts():
 
 @pytest.mark.parametrize(
     "plan",
-    [StripPlan(k=3), StripPlan(k=1, start=2), StripPlan(k=1, end=4)],
+    [
+        StripPlan(k=3),
+        StripPlan(k=1, start=2),
+        StripPlan(k=1, end=4),
+        StripPlan(k=1, connectivity_filter=True),
+        StripPlan(k=1, renormalize_output=False),
+    ],
 )
 def test_strip_one_each_rejects_a_plan_it_cannot_honour(plan):
     with pytest.raises(ValueError, match="k=1 and no rank window"):
@@ -221,18 +227,6 @@ def test_strip_one_each_renormalizes_each_child_once(monkeypatch):
     monkeypatch.setattr(ksets.strip, "renormalize", counting)
     children = list(strip_one_each([H6], StripPlan(k=1)))
     assert len(children) == len(calls) == 6
-
-
-def test_strip_one_each_keeps_orphans_unless_renormalizing():
-    h = parse_mmp("123,345,561.")
-    plan = StripPlan(k=1, renormalize_output=False, connectivity_filter=True)
-    raw = list(strip_one_each([h], plan))
-    # the third child repeats the first once renormalized
-    assert [c.num_vertices for c in raw] == [6, 6]
-    assert raw[0].edges == h.edges[1:]
-    norm = list(strip_one_each([h], StripPlan(k=1, connectivity_filter=True)))
-    assert norm == [renormalize(c) for c in raw]
-    assert [c.num_vertices for c in norm] == [5, 5]
 
 
 @st.composite

@@ -15,6 +15,7 @@ from ksets.mmp import (
     MmpError,
     hypergraph_from_edges,
     is_connected,
+    parse_mmp,
     renormalize,
 )
 from ksets.strip import SamplerSeed, StripPlan, strip_one_each
@@ -137,6 +138,16 @@ def test_calibrate_increment():
         calibrate_increment([], 10)
     with pytest.raises(ValueError):
         calibrate_increment([h], 0)
+
+
+def test_calibrate_increment_warns_when_no_child_survives(caplog):
+    # every one-edge child of three disjoint edges is disconnected
+    h = parse_mmp("123,456,789.")
+    with caplog.at_level(logging.WARNING, logger="ksets.survey"):
+        assert calibrate_increment([h], 5) == 1.0
+    assert [rec.message for rec in caplog.records] == [
+        "calibration pilot found no surviving children"
+    ]
 
 
 def test_run_survey_resume_and_determinism(tmp_path):
